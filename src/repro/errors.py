@@ -168,6 +168,18 @@ class ServiceDraining(ServiceError):
         super().__init__("draining", message)
 
 
+class ReplayConflict(ServiceError):
+    """A ``request_id`` was reused for a different request payload.
+
+    Code ``replay-conflict``, not retryable: replay-cache entries are
+    bound to a digest of their request, so a colliding id gets this
+    instead of another request's plaintext.  Use a fresh id.
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__("replay-conflict", message)
+
+
 class RetryExhausted(ServiceError):
     """The retrying client gave up (or refused to replay an unsafe op).
 

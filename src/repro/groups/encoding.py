@@ -21,7 +21,7 @@ from repro.groups import curve
 from repro.groups.bilinear import BilinearGroup, G1Element, GTElement
 from repro.groups.curve import Point
 from repro.math.fields import Fq2
-from repro.math.modular import is_quadratic_residue, sqrt_mod
+from repro.math.modular import sqrt_3mod4
 from repro.utils.bits import BitString
 from repro.utils.serialization import int_width
 
@@ -46,19 +46,16 @@ def decode_g1(
         if int(bits) != 0:
             raise GroupError("malformed identity encoding")
         return group.g_identity()
-    x_bits = bits[1 : 1 + width]
-    assert isinstance(x_bits, BitString)
-    x = int(x_bits)
-    parity = bits.bit(width + 1)
+    x, parity = (int(bits) >> 1) & ((1 << width) - 1), bits.bit(width + 1)
     if x >= q:
         raise GroupError("x coordinate out of field range")
     rhs = (x * x * x + x) % q
     if rhs == 0:
         # y = 0 would be a 2-torsion point: not in the odd-order subgroup.
         raise GroupError("encoded point is 2-torsion, not in G")
-    if not is_quadratic_residue(rhs, q):
+    y = sqrt_3mod4(rhs, q)  # q = 3 (mod 4) for every PairingParams
+    if y is None:
         raise GroupError("x is not the abscissa of a curve point")
-    y = sqrt_mod(rhs, q)
     if y % 2 != parity:
         y = (-y) % q
     point = Point(x, y, False)
@@ -75,10 +72,7 @@ def decode_gt(
     width = int_width(q)
     if len(bits) != 2 * width:
         raise GroupError(f"GT encoding must be {2 * width} bits, got {len(bits)}")
-    a_bits = bits[:width]
-    b_bits = bits[width:]
-    assert isinstance(a_bits, BitString) and isinstance(b_bits, BitString)
-    a, b = int(a_bits), int(b_bits)
+    a, b = divmod(int(bits), 1 << width)
     if a >= q or b >= q:
         raise GroupError("GT coordinate out of field range")
     value = Fq2(a, b, q)

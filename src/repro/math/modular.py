@@ -97,6 +97,19 @@ def sqrt_mod(a: int, p: int) -> int:
     return _tonelli_shanks(a, p)
 
 
+def sqrt_3mod4(a: int, p: int) -> int | None:
+    """Square root of ``a`` modulo a prime ``p = 3 (mod 4)``, or ``None``
+    if ``a`` is a non-residue.
+
+    One exponentiation, ``a^((p+1)/4)``, checked by squaring -- instead
+    of a Legendre symbol followed by :func:`sqrt_mod`'s own check and
+    root.  For residues the root is the one :func:`sqrt_mod` returns.
+    """
+    a %= p
+    root = pow_mod(a, (p + 1) // 4, p)
+    return root if root * root % p == a else None
+
+
 def _tonelli_shanks(a: int, p: int) -> int:
     """Tonelli-Shanks square root for ``p % 4 == 1`` (``a`` known residue)."""
     # Write p - 1 = q * 2^s with q odd.

@@ -344,16 +344,16 @@ class ProtocolEngine:
         op: ProtocolMessage | None,
         wall: float,
         ops: OperationCounter | None,
+        bits: int = 0,
     ) -> None:
         if isinstance(op, Send):
             kind, label = "send", op.label
-            bits = len(encode_any(op.payload))
         elif isinstance(op, Recv):
-            kind, label, bits = "recv", op.label, 0
+            kind, label = "recv", op.label
         elif isinstance(op, Commit):
-            kind, label, bits = "commit", None, 0
+            kind, label = "commit", None
         else:
-            kind, label, bits = "return", None, 0
+            kind, label = "return", None
         step = StepStat(party, kind, label, bits, wall, ops)
         registry = active_registry()
         with self._stats_lock:
@@ -374,6 +374,20 @@ class ProtocolEngine:
                 if nonzero:
                     attrs["ops"] = nonzero
             tracer.record(f"step.{kind}", wall, parent=self._span, **attrs)
+
+    def _send(
+        self, party: int, op: Send, me: str, peer: str, wall: float, ops
+    ) -> object:
+        """Put ``op`` on the transport, then record its step with the bit
+        length the transport stored.  A send that dies at the boundary
+        still records the full frame it attempted (encoded on that path)."""
+        try:
+            delivered = self.transport.send(me, peer, op.label, op.payload)
+        except Exception:
+            self._record_step(party, op, wall, ops, len(encode_any(op.payload)))
+            raise
+        self._record_step(party, op, wall, ops, self.transport.sent_bits(me))
+        return delivered
 
     # -- in-process scheduling ----------------------------------------------
 
@@ -402,18 +416,18 @@ class ProtocolEngine:
                     results[party] = stop.value
                     finished[party] = True
                     return
-                self._record_step(
-                    party, op, time.perf_counter() - start, counter.diff(before)
-                )
+                wall, ops = time.perf_counter() - start, counter.diff(before)
                 value = None
                 if isinstance(op, Send):
-                    delivered = self.transport.send(
-                        names[party], names[peer], op.label, op.payload
+                    delivered = self._send(
+                        party, op, names[party], names[peer], wall, ops
                     )
                     inbox[peer].append(
                         ReceivedMessage(names[party], op.label, delivered)
                     )
-                elif isinstance(op, Commit):
+                    continue
+                self._record_step(party, op, wall, ops)
+                if isinstance(op, Commit):
                     self._commit_party(spec, party)
                 elif isinstance(op, Recv):
                     if inbox[party]:
@@ -491,13 +505,13 @@ class ProtocolEngine:
                             )
                             results[party] = stop.value
                             return
-                        self._record_step(
-                            party, op, time.perf_counter() - start, None
-                        )
+                        wall = time.perf_counter() - start
                         value = None
                         if isinstance(op, Send):
-                            self.transport.send(me, peer, op.label, op.payload)
-                        elif isinstance(op, Commit):
+                            self._send(party, op, me, peer, wall, None)
+                            continue
+                        self._record_step(party, op, wall, None)
+                        if isinstance(op, Commit):
                             self._commit_party(spec, party)
                         elif isinstance(op, Recv):
                             sender, label, payload = self.transport.recv(me)

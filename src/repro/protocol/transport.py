@@ -9,18 +9,19 @@ exactly once on :class:`Transport`.
 Three implementations:
 
 * :class:`InMemoryTransport` -- the classic single-process channel (the
-  old ``Channel``).  Even in-process, payloads cross as *bytes*: the
-  sender's object is encoded with the wire codec and the receiver gets a
-  freshly decoded copy, so no mutable object is ever aliased between the
-  two devices' memories.
+  old ``Channel``).  The receiver gets a fresh copy: new containers and
+  wrappers over immutable leaves (:func:`~repro.utils.serialization.wire_copy`),
+  so no mutable object is ever aliased between the two devices' memories.
 * :class:`SocketTransport` -- P1 and P2 in separate threads over a local
-  ``socketpair``; frames are length-prefixed wire-codec bytes.
+  ``socketpair``; frames are length-prefixed wire-codec bytes, decoded
+  with the full subgroup check.
 * :class:`~repro.protocol.faults.FaultyTransport` -- wraps any transport
   and injects faults at send boundaries.
 
 The transcript records the *sender-side* payload object (what was put on
 the wire), so transcript bits are independent of which transport carried
-them -- the golden-transcript tests pin this down.
+them -- the golden-transcript tests pin this down.  Bit counts sum the
+per-message :attr:`Message.bits`, each encoded once.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ import json
 import socket
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import PeerDisconnected, TransportTimeout, WireFormatError
 from repro.utils.bits import BitString, concat_all
-from repro.utils.serialization import WireCodec, encode_any, sniff_group
+from repro.utils.serialization import WireCodec, encode_any, wire_copy
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +121,11 @@ class Message:
     def to_bits(self) -> BitString:
         return encode_any(self.payload)
 
+    @cached_property
+    def bits(self) -> int:
+        """Length of :meth:`to_bits`, encoded once (on first use)."""
+        return len(self.to_bits())
+
 
 class Transport:
     """Base transport: transcript recording plus the queryable stat surface.
@@ -132,8 +139,6 @@ class Transport:
     #: Whether the two parties run in separate threads with blocking
     #: ``recv`` (socket-style) rather than an in-process rendezvous.
     threaded = False
-    #: Whether decoded group elements get the full subgroup check.
-    check_subgroup = False
     #: Optional per-request hook called with the message label before
     #: each send is recorded.  The key service installs a deadline check
     #: here for the duration of one request, so an expired deadline
@@ -149,16 +154,10 @@ class Transport:
     # -- codec binding -----------------------------------------------------
 
     def attach_group(self, group) -> None:
-        """Bind the codec to a bilinear group so group elements decode."""
+        """Bind the codec to a bilinear group so group elements decode
+        (:meth:`ProtocolEngine.run` does this before every protocol)."""
         if group is not None:
             self._group = group
-
-    def _codec_for(self, payload: object = None) -> WireCodec:
-        group = self._group
-        if group is None:
-            group = sniff_group(payload)
-            self._group = group
-        return WireCodec(group, check_subgroup=self.check_subgroup)
 
     # -- transcript recording ---------------------------------------------
 
@@ -226,37 +225,43 @@ class Transport:
 
     def bits_on_wire(self, period: int | None = None) -> int:
         """Total communication in bits (for the cost benchmarks)."""
-        return len(self.transcript_bits(period))
+        return sum(m.bits for m in self.transcript(period))
 
     def bits_by_label(self, period: int | None = None) -> dict[str, int]:
         """Communication breakdown per message label -- which protocol
         step costs what (used by the cost analyses)."""
         breakdown: dict[str, int] = {}
         for message in self.transcript(period):
-            breakdown[message.label] = breakdown.get(message.label, 0) + len(
-                message.to_bits()
-            )
+            breakdown[message.label] = breakdown.get(message.label, 0) + message.bits
         return breakdown
+
+    def sent_bits(self, sender: str) -> int:
+        """Bit length of the latest message recorded from ``sender``
+        (each party sends from one thread)."""
+        for message in reversed(self.messages):
+            if message.sender == sender:
+                return message.bits
+        return 0
 
 
 class InMemoryTransport(Transport):
     """Reliable, authenticated, in-process transport with a full transcript.
 
-    ``send`` serializes the payload to bytes and returns a freshly
-    decoded copy -- the receiver never holds a reference into the
-    sender's memory.  Payload types outside the wire format (only
-    possible for ad-hoc test traffic, never for protocol messages) pass
-    through by reference, as the old ``Channel`` did.
+    ``send`` returns :func:`~repro.utils.serialization.wire_copy` of the
+    payload -- what a codec round trip would decode, built from fresh
+    containers and wrappers over the sender's immutable leaves -- so the
+    receiver never holds a mutable reference into the sender's memory.
+    Payload types outside the wire format (only possible for ad-hoc test
+    traffic, never for protocol messages) pass through by reference, as
+    the old ``Channel`` did.
     """
 
     def send(self, sender: str, recipient: str, label: str, payload: object) -> object:
         self.record(sender, recipient, label, payload)
-        codec = self._codec_for(payload)
         try:
-            wire = codec.encode(payload)
+            return wire_copy(payload)
         except WireFormatError:
             return payload
-        return codec.decode(wire)
 
 
 class SocketTransport(Transport):
@@ -271,7 +276,6 @@ class SocketTransport(Transport):
     """
 
     threaded = True
-    check_subgroup = True
 
     def __init__(self, timeout: float = 30.0) -> None:
         super().__init__()
@@ -309,8 +313,7 @@ class SocketTransport(Transport):
         return endpoint
 
     def send(self, sender: str, recipient: str, label: str, payload: object) -> object:
-        codec = self._codec_for(payload)
-        wire = codec.encode(payload)  # sockets carry bytes, no fallback
+        wire = WireCodec(self._group).encode(payload)  # no pass-through fallback
         frame = encode_frame(
             {"sender": sender, "recipient": recipient, "label": label}, wire
         )
@@ -335,5 +338,5 @@ class SocketTransport(Transport):
         with self._lock:
             endpoint = self._endpoint(party)
         header, wire = recv_frame(endpoint, party, timeout=self.timeout)
-        payload = self._codec_for().decode(wire)
+        payload = WireCodec(self._group).decode(wire)
         return header["sender"], header["label"], payload

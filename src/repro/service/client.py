@@ -39,6 +39,7 @@ ciphertext envelope; the service returns the recovered GT plaintext.
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 import time
@@ -65,7 +66,8 @@ class ServiceClient:
     ``retry`` (default: the runtime's standard policy) drives the
     backoff schedule; ``retry=None`` disables retries entirely (every
     failure surfaces on the first attempt).  ``retry_seed`` makes the
-    jitter stream and generated request ids deterministic.  ``deadline``
+    jitter stream and generated request ids deterministic; without it
+    the ids carry a random per-client tag.  ``deadline``
     is a default per-request budget in seconds, stamped on every call
     (``call(..., deadline=...)`` overrides per request).
     """
@@ -86,7 +88,13 @@ class ServiceClient:
         self.deadline = deadline
         self._sleep = sleep
         self._retry_rng = random.Random(f"{retry_seed}/service-client/retry")
-        self._request_tag = f"{random.Random(f'{retry_seed}/service-client/id').getrandbits(48):012x}"
+        # Without a seed the tag is random: two clients sharing a tag would
+        # share request ids, and the server's replay cache keys on them.
+        if retry_seed is None:
+            self._request_tag = os.urandom(6).hex()
+        else:
+            id_rng = random.Random(f"{retry_seed}/service-client/id")
+            self._request_tag = f"{id_rng.getrandbits(48):012x}"
         self._request_counter = 0
         self._socket: socket.socket | None = None
         self._connect()

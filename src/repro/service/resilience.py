@@ -21,7 +21,9 @@ pieces, defined here so server (:mod:`repro.service.server`), client
   connection after the service committed the period retries with the
   same ``request_id`` and receives the cached response instead of
   burning a second period (and a second leakage charge) on the same
-  ciphertext.
+  ciphertext.  Each entry is bound to a digest of the request payload,
+  so a reused id with a different payload is a typed
+  :class:`~repro.errors.ReplayConflict`, never another request's body.
 * :func:`find_deadline_exceeded` -- unwraps a
   :class:`~repro.errors.DeadlineExceeded` buried under the engine's
   rollback wrappers, so the server can answer the typed code after a
@@ -35,7 +37,12 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.errors import DeadlineExceeded, ParameterError, WireFormatError
+from repro.errors import (
+    DeadlineExceeded,
+    ParameterError,
+    ReplayConflict,
+    WireFormatError,
+)
 
 # ---------------------------------------------------------------------------
 # The failure-handling matrix (machine-readable half)
@@ -165,6 +172,9 @@ class ResponseCache:
 
     Keyed by ``(tenant, key, request_id)``; only *successful* responses
     are cached (failures are cheap to recompute and may be transient).
+    An entry stored with a ``digest`` of its request payload answers
+    only a lookup carrying the same digest: any other digest raises
+    :class:`~repro.errors.ReplayConflict`.
     The bound keeps an unbounded request stream from growing server
     memory: the cache is a correctness aid for the retry window, not a
     durable dedup log, so evicting an old entry merely means a very
@@ -176,18 +186,27 @@ class ResponseCache:
             raise ParameterError("replay cache capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, tuple[dict, bytes]] = OrderedDict()
+        #: key -> (fields, payload, request digest or None)
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
 
-    def get(self, key: tuple) -> tuple[dict, bytes] | None:
+    def get(self, key: tuple, digest: bytes | None = None) -> tuple[dict, bytes] | None:
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
+            if entry is None:
+                return None
+            fields, payload, stored = entry
+            if stored != digest:
+                raise ReplayConflict(
+                    f"request_id {key[-1]!r} was already used for a different request"
+                )
+            self._entries.move_to_end(key)
+            return fields, payload
 
-    def put(self, key: tuple, fields: dict, payload: bytes) -> None:
+    def put(
+        self, key: tuple, fields: dict, payload: bytes, digest: bytes | None = None
+    ) -> None:
         with self._lock:
-            self._entries[key] = (dict(fields), payload)
+            self._entries[key] = (dict(fields), payload, digest)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

@@ -40,7 +40,8 @@ Resilience (``docs/service.md`` has the full failure-handling matrix):
 * **Replay cache** -- a ``decrypt`` stamped with a ``request_id`` is
   idempotent: a client retrying after a lost response receives the
   cached response instead of burning a second period on the same
-  ciphertext.
+  ciphertext.  Entries are bound to a SHA-256 of the request payload: a
+  reused id with a different payload is answered ``replay-conflict``.
 
 Every response carries ``ok``; failures add ``code`` + ``error``:
 
@@ -53,12 +54,14 @@ Every response carries ``ok``; failures add ``code`` + ``error``:
 ``draining``              shutting down; retry elsewhere / later
 ``checkpoint-corrupt``    the key's durable state is damaged (fatal per key)
 ``protocol-error``        the two-party protocol failed fatally mid-request
+``replay-conflict``       ``request_id`` reused for a different payload
 ``internal``              anything else; the worker survives
 ========================  ====================================================
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import threading
@@ -72,6 +75,7 @@ from repro.errors import (
     ParameterError,
     ProtocolError,
     PeerDisconnected,
+    ReplayConflict,
     ServiceDraining,
     ServiceError,
     ServiceOverloaded,
@@ -692,21 +696,32 @@ class KeyService:
                         "internal", f"session {session.key} evicted twice mid-request"
                     ) from None
 
+    def _replay_lookup(self, header: dict, payload: bytes):
+        """``(cache key, payload digest, cached response)`` of a decrypt
+        (key ``None`` without ``request_id``).  A hit is a retry after a
+        lost response: replay it rather than burn a second period.  A
+        reused id with another payload raises ``ReplayConflict``."""
+        request_id = header.get("request_id")
+        if request_id is None:
+            return None, None, None
+        request_id = validated_request_id(request_id)
+        cache_key = (header.get("tenant"), header.get("key"), request_id)
+        digest = hashlib.sha256(payload).digest()
+        try:
+            cached = self._replay.get(cache_key, digest)
+        except ReplayConflict:
+            self.metrics.counter("service.replay_conflicts").inc()
+            raise
+        if cached is not None:
+            self.metrics.counter("service.replayed_decrypts").inc()
+        return cache_key, digest, cached
+
     def _op_decrypt(self, header: dict, payload: bytes) -> tuple[dict, bytes]:
         deadline = deadline_from_header(header)
-        request_id = header.get("request_id")
-        cache_key = None
-        if request_id is not None:
-            request_id = validated_request_id(request_id)
-            cache_key = (header.get("tenant"), header.get("key"), request_id)
-            cached = self._replay.get(cache_key)
-            if cached is not None:
-                # The client lost our response and retried: replay it
-                # instead of burning a second period (and a second
-                # leakage charge) on the same ciphertext.
-                fields, body = cached
-                self.metrics.counter("service.replayed_decrypts").inc()
-                return {**fields, "replayed": True}, body
+        cache_key, digest, cached = self._replay_lookup(header, payload)
+        if cached is not None:
+            fields, body = cached
+            return {**fields, "replayed": True}, body
 
         def serve(session):
             # Decode against the *serving* session's group, inside the
@@ -721,7 +736,7 @@ class KeyService:
         fields = {"period": record.period, "plaintext_bits": len(bits)}
         body = bits.to_bytes()
         if cache_key is not None:
-            self._replay.put(cache_key, fields, body)
+            self._replay.put(cache_key, fields, body, digest)
         return fields, body
 
     def _op_decrypt_batch(self, header: dict, payload: bytes) -> tuple[dict, bytes]:
@@ -733,16 +748,10 @@ class KeyService:
         ciphertext chunk of the period re-checks it and an expiry rolls
         the whole (uncommitted) period back, typed and retryable."""
         deadline = deadline_from_header(header)
-        request_id = header.get("request_id")
-        cache_key = None
-        if request_id is not None:
-            request_id = validated_request_id(request_id)
-            cache_key = (header.get("tenant"), header.get("key"), request_id)
-            cached = self._replay.get(cache_key)
-            if cached is not None:
-                fields, body = cached
-                self.metrics.counter("service.replayed_decrypts").inc()
-                return {**fields, "replayed": True}, body
+        cache_key, digest, cached = self._replay_lookup(header, payload)
+        if cached is not None:
+            fields, body = cached
+            return {**fields, "replayed": True}, body
 
         def serve(session):
             ciphertexts = persist.loads(payload.decode("utf-8"), session.group)
@@ -766,7 +775,7 @@ class KeyService:
         }
         body = b"".join(bits.to_bytes() for bits in bits_list)
         if cache_key is not None:
-            self._replay.put(cache_key, fields, body)
+            self._replay.put(cache_key, fields, body, digest)
         return fields, body
 
     def _op_refresh(self, header: dict, payload: bytes) -> tuple[dict, bytes]:

@@ -78,7 +78,9 @@ class BitString:
             start, stop, step = index.indices(self._length)
             if step != 1:
                 raise ParameterError("bit slices must be contiguous")
-            return BitString.from_bits(self.bit(i) for i in range(start, stop))
+            width = max(stop - start, 0)
+            value = (self._value >> (self._length - start - width)) & ((1 << width) - 1)
+            return BitString(value, width)
         if index < 0:
             index += self._length
         if not 0 <= index < self._length:
@@ -122,8 +124,9 @@ class BitString:
 
 
 def concat_all(pieces: Iterable[BitString]) -> BitString:
-    """Concatenate many bit strings."""
-    result = BitString.empty()
+    """Concatenate many bit strings into one integer accumulator."""
+    value = length = 0
     for piece in pieces:
-        result = result.concat(piece)
-    return result
+        value = (value << piece._length) | piece._value
+        length += piece._length
+    return BitString(value, length)

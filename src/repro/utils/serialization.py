@@ -153,27 +153,36 @@ def _read_bits(data: bytes, offset: int) -> tuple[BitString, int]:
     return BitString(value, nbits), offset + nbytes
 
 
-def sniff_group(payload: object):
-    """Find the bilinear group a payload's elements live in, if any.
-
-    Walks the payload structure looking for the first group element (or
-    HPSKE ciphertext) and returns its ``group``; returns ``None`` for
-    group-free payloads.  Used by in-memory transports whose codec was
-    never explicitly bound to a group.
-    """
+def wire_copy(payload: object) -> object:
+    """``WireCodec.decode(encode(payload))`` without the bytes: fresh
+    containers and wrappers over the payload's immutable leaves (ints,
+    strings, frozen ``Point``/``Fq2`` values).  Raises
+    :class:`WireFormatError` for anything ``encode`` rejects."""
     from repro.core.hpske import HPSKECiphertext
     from repro.groups.bilinear import G1Element, GTElement
+    from repro.protocol.device import _ScalarInMemory
 
-    stack = [payload]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, (G1Element, GTElement)):
-            return value.group
+    def copy(value: object) -> object:
+        if isinstance(value, GTElement):
+            return GTElement(value.group, value.value)
+        if isinstance(value, G1Element):
+            return G1Element(value.group, value.point)
+        if isinstance(value, (tuple, list)):
+            items = [copy(item) for item in value]
+            return tuple(items) if isinstance(value, tuple) else items
         if isinstance(value, HPSKECiphertext):
-            stack.extend(value.elements())
-        elif isinstance(value, (tuple, list)):
-            stack.extend(value)
-    return None
+            return HPSKECiphertext(tuple(copy(c) for c in value.coins), copy(value.body))
+        if isinstance(value, BitString):
+            return BitString(value.value, len(value))
+        if isinstance(value, _ScalarInMemory):
+            return _ScalarInMemory(value.value, value.p)
+        if isinstance(value, int) and value < 0:
+            raise WireFormatError("varints are non-negative")
+        if value is None or isinstance(value, (int, str, bytes)):
+            return value
+        raise WireFormatError(f"no wire encoding for {type(value).__name__}")
+
+    return copy(payload)
 
 
 class WireCodec:

@@ -39,6 +39,22 @@ class TestG1Decoding:
         # About half of all x are non-residues, plus subgroup checks.
         assert rejected > 10
 
+    def test_every_non_residue_x_raises_group_error(self, small_group):
+        from repro.math.modular import is_quadratic_residue
+
+        q = small_group.params.q
+        width = int_width(q)
+        checked = 0
+        for x in range(1, 200):
+            if is_quadratic_residue((x * x * x + x) % q, q):
+                continue
+            checked += 1
+            for parity in (0, 1):
+                bits = BitString(1, 1) + BitString(x, width) + BitString(parity, 1)
+                with pytest.raises(GroupError, match="not the abscissa"):
+                    decode_g1(small_group, bits)
+        assert checked > 50
+
     def test_out_of_field_x_rejected(self, small_group):
         width = int_width(small_group.params.q)
         bits = BitString(1, 1) + BitString((1 << width) - 1, width) + BitString(0, 1)

@@ -36,6 +36,36 @@ class TestSubgroupPointSampling:
         assert ys == {0, 1}
 
 
+def _reference_subgroup_point(params, rng):
+    """The sampler as first written: Legendre symbol, then ``sqrt_mod``."""
+    from repro.groups.curve import Point
+    from repro.math.modular import is_quadratic_residue, sqrt_mod
+
+    q = params.q
+    while True:
+        x = rng.randrange(q)
+        rhs = (x * x * x + x) % q
+        if rhs == 0 or not is_quadratic_residue(rhs, q):
+            continue
+        y = sqrt_mod(rhs, q)
+        if rng.getrandbits(1):
+            y = (-y) % q
+        candidate = curve.scalar_mul(Point(x, y, False), params.h, q)
+        if not candidate.is_infinity():
+            return candidate
+
+
+class TestOnePowSampler:
+    def test_same_points_and_rng_stream_as_the_reference(self, toy_group, small_group):
+        for group in (toy_group, small_group):
+            fast, slow = random.Random(77), random.Random(77)
+            for _ in range(60):
+                assert random_subgroup_point(group.params, fast) == (
+                    _reference_subgroup_point(group.params, slow)
+                )
+            assert fast.getstate() == slow.getstate()
+
+
 class TestGTSampling:
     def test_order_p(self, small_group, rng):
         params = small_group.params

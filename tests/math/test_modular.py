@@ -11,6 +11,7 @@ from repro.math.modular import (
     inv_mod,
     is_quadratic_residue,
     legendre_symbol,
+    sqrt_3mod4,
     sqrt_mod,
 )
 
@@ -103,6 +104,22 @@ class TestSqrtMod:
         for square in squares:
             root = sqrt_mod(square, p)
             assert root * root % p == square
+
+
+class TestSqrt3Mod4:
+    @pytest.mark.parametrize("p", [3, 7, 11, 43, 2**61 - 1])
+    def test_agrees_with_sqrt_mod_and_legendre(self, p):
+        rng = random.Random(5)
+        values = range(p) if p < 100 else [rng.randrange(p) for _ in range(200)]
+        for a in values:
+            root = sqrt_3mod4(a, p)
+            if a % p == 0 or is_quadratic_residue(a, p):
+                assert root == sqrt_mod(a, p)
+            else:
+                assert root is None
+
+    def test_reduces_its_argument(self):
+        assert sqrt_3mod4(2 + 7, 7) == sqrt_mod(2, 7)
 
 
 class TestCRT:

@@ -71,3 +71,37 @@ class TestBitStringProperties:
         for piece in pieces:
             folded = folded + piece
         assert concat_all(pieces) == folded
+
+
+bounds = st.one_of(st.none(), st.integers(min_value=-80, max_value=80))
+
+
+class TestSliceAndConcatAgainstBitwiseReference:
+    """The shift-and-mask slice and the one-accumulator ``concat_all``
+    must agree with the plain list-of-bits definitions."""
+
+    @given(b=bitstrings, start=bounds, stop=bounds)
+    @settings(max_examples=200, deadline=None)
+    def test_slice_matches_list_slice(self, b, start, stop):
+        sliced = b[start:stop]
+        assert list(sliced) == list(b)[start:stop]
+        assert sliced == BitString.from_bits(list(b)[start:stop])
+
+    @given(b=bitstrings)
+    @settings(**COMMON)
+    def test_full_width_and_empty_slices(self, b):
+        assert b[:] == b
+        assert b[0 : len(b)] == b
+        assert b[-len(b) or 0 :] == b
+        assert b[len(b) :] == BitString.empty()
+        assert b[5:2] == BitString.empty()
+        assert b[-1:-1] == BitString.empty()
+
+    @given(pieces=st.lists(bitstrings, max_size=12))
+    @settings(**COMMON)
+    def test_concat_all_matches_bitwise_reference(self, pieces):
+        reference = [bit for piece in pieces for bit in piece]
+        joined = concat_all(pieces)
+        assert list(joined) == reference
+        assert len(joined) == len(reference)
+        assert concat_all(iter(pieces)) == joined

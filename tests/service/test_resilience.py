@@ -14,6 +14,7 @@ from repro.errors import (
     DeadlineExceeded,
     ParameterError,
     PeerDisconnected,
+    ReplayConflict,
     RetryExhausted,
     ServiceError,
     TransportTimeout,
@@ -29,6 +30,7 @@ from repro.service import (
     SessionRegistry,
 )
 from repro.service.resilience import (
+    RETRYABLE_CODES,
     deadline_from_header,
     find_deadline_exceeded,
     is_idempotent,
@@ -139,6 +141,16 @@ class TestResponseCache:
         with pytest.raises(ParameterError):
             ResponseCache(0)
 
+    def test_entry_answers_only_its_own_request_digest(self):
+        cache = ResponseCache(4)
+        cache.put(("t", "k", "r1"), {"period": 0}, b"bits", b"digest-a")
+        assert cache.get(("t", "k", "r1"), b"digest-a") == ({"period": 0}, b"bits")
+        for other in (b"digest-b", None):
+            with pytest.raises(ReplayConflict) as excinfo:
+                cache.get(("t", "k", "r1"), other)
+            assert excinfo.value.code == "replay-conflict"
+            assert "r1" in str(excinfo.value)
+
 
 def _ciphertext_envelope(public_key, rng):
     message = public_key.group.random_gt(rng)
@@ -226,6 +238,45 @@ class TestReplayCache:
         assert service.metrics.counter_value("service.replayed_decrypts") == 1
         # only one period (and one leakage charge) was burned
         assert registry.get("acme", "rk").next_period == 1
+
+    def test_reused_id_with_another_payload_is_a_typed_conflict(
+        self, service, client, registry
+    ):
+        client.open_key("acme", "rc", seed=5)
+        public_key = client.public_key("acme", "rc")
+        _, envelope = _ciphertext_envelope(public_key, random.Random(11))
+        _, other = _ciphertext_envelope(public_key, random.Random(12))
+        first, body1 = client.request(
+            "decrypt", envelope, tenant="acme", key="rc", request_id="req-1"
+        )
+        assert first["ok"] is True
+        clash, body = client.request(
+            "decrypt", other, tenant="acme", key="rc", request_id="req-1"
+        )
+        assert clash["ok"] is False
+        assert clash["code"] == "replay-conflict"
+        assert body == b""  # never the cached plaintext of the first request
+        assert "replay-conflict" not in RETRYABLE_CODES
+        assert service.metrics.counter_value("service.replay_conflicts") == 1
+        assert service.metrics.counter_value("service.replayed_decrypts") == 0
+        assert registry.get("acme", "rc").next_period == 1  # no period burned
+        # The genuine retry still replays.
+        again, body2 = client.request(
+            "decrypt", envelope, tenant="acme", key="rc", request_id="req-1"
+        )
+        assert again["replayed"] is True and body2 == body1
+
+    def test_retrying_client_surfaces_the_conflict_without_retrying(self, client):
+        client.open_key("acme", "rb", seed=6)
+        public_key = client.public_key("acme", "rb")
+        scheme = DLR(public_key.params)
+        rng = random.Random(13)
+        first = scheme.encrypt(public_key, public_key.group.random_gt(rng), rng)
+        second = scheme.encrypt(public_key, public_key.group.random_gt(rng), rng)
+        client.decrypt("acme", "rb", first, request_id="same")
+        with pytest.raises(ServiceError) as excinfo:
+            client.decrypt("acme", "rb", second, request_id="same")
+        assert excinfo.value.code == "replay-conflict"
 
     def test_without_request_id_each_call_burns_a_period(
         self, service, client, registry
@@ -560,6 +611,16 @@ class TestRetryingClient:
                 with pytest.raises(RetryExhausted) as excinfo:
                     client.call("ping")
         assert len(excinfo.value.attempts) == 1
+
+    def test_unseeded_clients_draw_distinct_request_tags(self):
+        with _StubServer([]) as stub:
+            clients = [ServiceClient(stub.address) for _ in range(4)]
+            try:
+                ids = {client.next_request_id() for client in clients}
+            finally:
+                for client in clients:
+                    client.close()
+        assert len(ids) == 4  # same counter value, different tags
 
     def test_request_ids_are_deterministic_under_a_seed(self):
         with _StubServer([]) as stub:

@@ -255,10 +255,3 @@ class TestWireCodec:
         wire = self._codec(small_group).encode(small_group.random_g(rng))
         with pytest.raises(WireFormatError):
             WireCodec(group=None).decode(wire)
-
-    def test_sniff_group_finds_nested_elements(self, small_group, rng):
-        from repro.utils.serialization import sniff_group
-
-        element = small_group.random_gt(rng)
-        assert sniff_group(((None, [element]),)) is small_group
-        assert sniff_group([1, "x", None]) is None
