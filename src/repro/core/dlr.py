@@ -17,13 +17,15 @@ Two protocol styles are provided:
 
 * :meth:`DLR.decrypt_protocol` / :meth:`DLR.refresh_protocol` -- the
   construction exactly as printed (fresh ``sk_comm`` per protocol);
-* :meth:`DLR.run_period` -- the section 5.2 remark variant where one
+* :meth:`DLR.run_period_multi` -- the section 5.2 remark variant where one
   time period executes decryption *and* refresh with a single
   ``sk_comm`` and the refresh ciphertexts ``f_i`` are reused as the
-  decryption ciphertexts ``d_i`` via coordinate-wise pairing with ``A``.
-  This is the flow the security proof (and the leakage accounting of the
-  security game) is stated for; it also returns the phase snapshots the
-  leakage oracle consumes.
+  decryption ciphertexts ``d_i`` via coordinate-wise pairing with each
+  ciphertext's ``A`` (any number of decryptions per period, the section
+  3.3 extension).  :meth:`DLR.run_period` is its one-ciphertext case with
+  the legacy ``dec.*`` labels.  This is the flow the security proof (and
+  the leakage accounting of the security game) is stated for; it also
+  returns the phase snapshots the leakage oracle consumes.
 
 Device memory discipline: shares live in the devices' *secret* memory
 regions; every protocol secret (``sk_comm``, fresh share material) is
@@ -39,11 +41,12 @@ pending slots as :class:`~repro.protocol.engine.StagedShare` entries;
 the devices park incoming shares there and yield ``Commit()`` at the
 final ``ref.commit`` message boundary.  If the protocol dies at any
 earlier (or that) boundary, the engine rolls both devices back to their
-old, mutually consistent shares and the period can simply be re-run
-(:meth:`DLR.run_period_resilient`); the failure surfaces as
-:class:`~repro.errors.RefreshAborted`.  An interrupted refresh can
-therefore never desync the two devices, and :meth:`DLR.verify_shares`
-succeeds after any abort.
+old, mutually consistent shares and the failure surfaces as
+:class:`~repro.errors.RefreshAborted`; the period can simply be re-run,
+which :func:`repro.runtime.drive_period_resilient` (one period) and
+:class:`repro.runtime.SessionSupervisor` (whole lifecycles) do with
+classified retries.  An interrupted refresh can therefore never desync
+the two devices, and :meth:`DLR.verify_shares` succeeds after any abort.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from repro.core.pss import PSS
 from repro.errors import ProtocolError
 from repro.groups.bilinear import G1Element, GTElement
 from repro.groups.precompute import PrecomputedEncryptor
-from repro.protocol.channel import Channel, Message
+from repro.protocol.channel import Message
 from repro.protocol.device import Device
 from repro.protocol.engine import (
     Commit,
@@ -323,6 +326,7 @@ class DLR:
         prefix: str = "ref",
         pending_slot: str = SK2_PENDING_SLOT,
         share_of=None,
+        received=None,
     ):
         """P2's refresh step: sample fresh scalars, send the combination,
         *stage* the new share, and commit at ``<prefix>.commit``.
@@ -331,11 +335,13 @@ class DLR:
         refresh secret memory is ``2 m2`` bits.  The old share is
         replaced only when P1 confirms it decrypted ``Phi'`` (the commit
         boundary); until then an abort rolls back to the old share.
+        ``received`` is a ``<prefix>.f`` message the caller already read.
         """
         if share_of is None:
             share_of = lambda: self.share2_of(device2)  # noqa: E731
-        message = yield Recv(f"{prefix}.f")
-        f_pairs, f_phi = message.payload
+        if received is None:
+            received = yield Recv(f"{prefix}.f")
+        f_pairs, f_phi = received.payload
         share2 = share_of()
         with device2.computing():
             fresh_share = Share2(
@@ -354,32 +360,13 @@ class DLR:
         period: int,
         snapshots: dict[tuple[int, str], PhaseSnapshot],
     ):
-        """P2's whole time period: decrypt, observe the output, refresh --
-        with the two phase snapshots.  Identical for DLR and OptimalDLR
+        """P2's whole time period, with its two phase snapshots: answer
+        every ``<prefix>.d`` until ``ref.f`` arrives, then refresh.
+
+        P2 never needs the decryption count or the labels up front, so
+        this one generator serves every period of DLR and OptimalDLR
         ("the changes to the protocols only involve P1's local
         computations")."""
-        device2.secret.open_phase(f"t{period}.normal")
-        share2 = self.share2_of(device2)
-        yield from self._p2_decrypt_steps(device2, share_of=lambda: share2)
-        yield Recv("dec.output")
-        snapshots[(2, "normal")] = device2.secret.close_phase()
-
-        device2.secret.open_phase(f"t{period}.refresh")
-        yield from self._p2_refresh_steps(device2, share_of=lambda: share2)
-        snapshots[(2, "refresh")] = device2.secret.close_phase()
-
-    def _p2_period_multi_steps(
-        self,
-        device2: Device,
-        period: int,
-        snapshots: dict[tuple[int, str], PhaseSnapshot],
-    ):
-        """P2's whole *multi-decryption* time period: answer ``dec.<i>.d``
-        messages until the refresh phase starts, then refresh.  P2 never
-        needs the decryption count up front, so the same generator serves
-        DLR and OptimalDLR multi-periods (only P1's local computations
-        differ between the two schemes)."""
-        ell = self.params.ell
         device2.secret.open_phase(f"t{period}.normal")
         share2 = self.share2_of(device2)
         message = yield Recv()
@@ -393,17 +380,9 @@ class DLR:
         snapshots[(2, "normal")] = device2.secret.close_phase()
 
         device2.secret.open_phase(f"t{period}.refresh")
-        f_pairs, f_phi = message.payload
-        with device2.computing():
-            fresh_share = Share2(
-                tuple(self.group.random_scalar(device2.rng) for _ in range(ell)),
-                self.group.p,
-            )
-            response = combine_refresh(share2, fresh_share, f_pairs, f_phi)
-        device2.secret.store(SK2_PENDING_SLOT, fresh_share)
-        yield Send("ref.f_combined", response)
-        yield Recv("ref.commit")
-        yield Commit()
+        yield from self._p2_refresh_steps(
+            device2, share_of=lambda: share2, received=message
+        )
         snapshots[(2, "refresh")] = device2.secret.close_phase()
 
     # ------------------------------------------------------------------
@@ -523,10 +502,22 @@ class DLR:
             abort_message=REFRESH_ABORT_MESSAGE,
         )
         self._run_engine(spec, channel)
+        self._after_rotation()
+
+    def _after_rotation(self) -> None:
+        """Hook run after each committed master-share rotation of
+        :meth:`refresh_protocol` or a period; DLRIBE overrides it to
+        close its extract-cache epoch."""
 
     # ------------------------------------------------------------------
     # One faithful time period (section 5.2 remark: coin reuse)
     # ------------------------------------------------------------------
+
+    #: Engine spec name of a period, P1's period secrets and the staged
+    #: rotation; OptimalDLR swaps in its own with its P1 steps.
+    _period_protocol = "dlr.period"
+    _period_secrets1 = ("period.sk_comm", "period.a_next")
+    _period_staged = DLR_STAGED
 
     def run_period(
         self,
@@ -537,138 +528,17 @@ class DLR:
     ) -> PeriodRecord:
         """Execute one full time period: decryption then refresh, with one
         ``sk_comm`` and the ``f_i -> d_i`` ciphertext reuse; returns the
-        phase snapshots for the leakage oracle.
+        phase snapshots for the leakage oracle.  The one-ciphertext case
+        of :meth:`run_period_multi`, with the legacy ``dec.*`` labels.
 
         Crash-safe: an exception at any message boundary rolls back any
         staged share rotation, erases every protocol secret, and closes
         the open phase snapshots before propagating, so the period can be
-        re-run against intact shares (:meth:`run_period_resilient`).
+        re-run against intact shares.
         """
-        period = channel.current_period
-        share1 = self.share1_of(device1)
-        ell = self.params.ell
-        snapshots: dict[tuple[int, str], PhaseSnapshot] = {}
-
-        def p1():
-            device1.secret.open_phase(f"t{period}.normal")
-            # P1 computes the refresh ciphertexts f_i first, then derives
-            # the decryption ciphertexts d_i by pairing with A (remark,
-            # section 5.2).
-            with device1.computing():
-                sk_comm = self.hpske_g.keygen(device1.rng)
-                device1.secret.store("period.sk_comm", sk_comm)
-                f_list = [
-                    self.hpske_g.encrypt(sk_comm, a_i, device1.rng) for a_i in share1.a
-                ]
-                f_phi = self.hpske_g.encrypt(sk_comm, share1.phi, device1.rng)
-
-                # One Miller schedule for A, reused across every f_i
-                # coordinate (kappa + 1 pairings per ciphertext), all
-                # evaluated in one batched (pool-dispatchable) leg.
-                a_precomp = self.group.pairing_precomp(ciphertext.a)
-                transported = pair_ciphertexts(a_precomp, [*f_list, f_phi])
-                d_list = tuple(transported[:-1])
-                d_phi = transported[-1]
-                d_b = self.hpske_gt.encrypt(sk_comm, ciphertext.b, device1.rng)
-            yield Send("dec.d", (d_list, d_phi, d_b))
-
-            message = yield Recv("dec.c_prime")
-            with device1.computing():
-                plaintext = self.hpske_gt.decrypt(sk_comm, message.payload)
-            assert isinstance(plaintext, GTElement)
-            yield Send("dec.output", plaintext)
-            snapshots[(1, "normal")] = device1.secret.close_phase()
-
-            # --- refresh phase (same sk_comm, f_i reused) ---------------
-            device1.secret.open_phase(f"t{period}.refresh")
-            with device1.computing():
-                fresh_a = tuple(self.group.random_g(device1.rng) for _ in range(ell))
-                device1.secret.store("period.a_next", list(fresh_a), derived=True)
-                f_new = [
-                    self.hpske_g.encrypt(sk_comm, fresh_a[i], device1.rng)
-                    for i in range(ell)
-                ]
-            f_pairs = tuple(zip(f_list, f_new))
-            yield Send("ref.f", (f_pairs, f_phi))
-
-            message = yield Recv("ref.f_combined")
-            with device1.computing():
-                new_phi = self.hpske_g.decrypt(sk_comm, message.payload)
-            device1.secret.store(SK1_PENDING_SLOT, Share1(a=fresh_a, phi=new_phi))
-            yield Send("ref.commit", True)
-            yield Commit()
-
-            # Erase every protocol secret of the period before the
-            # snapshots close (the slots must not seed the next phase).
-            device1.secret.erase("period.sk_comm")
-            device1.secret.erase("period.a_next")
-            snapshots[(1, "refresh")] = device1.secret.close_phase()
-            return plaintext
-
-        spec = ProtocolSpec(
-            "dlr.period",
-            device1,
-            device2,
-            p1,
-            lambda: self._p2_period_steps(device2, period, snapshots),
-            secrets1=("period.sk_comm", "period.a_next"),
-            staged=DLR_STAGED,
-            abort_message=(
-                f"time period {period} aborted during refresh; "
-                "both devices rolled back to their old shares"
-            ),
-            abort_period=period,
-            snapshots=snapshots,
-        )
-        plaintext = self._run_engine(spec, channel)
-        assert isinstance(plaintext, GTElement)
-
-        messages = channel.transcript(period)
-        channel.advance_period()
-        return PeriodRecord(period, plaintext, snapshots, messages)
-
-    def run_period_resilient(
-        self,
-        device1: Device,
-        device2: Device,
-        channel: Transport,
-        ciphertext: Ciphertext,
-        max_attempts: int = 3,
-    ) -> PeriodRecord:
-        """Deprecated: one classified-retry period; use the session
-        supervisor (:class:`repro.runtime.SessionSupervisor`) for whole
-        lifecycles.
-
-        Delegates to :func:`repro.runtime.drive_period_resilient`, so
-        unlike the old retry-anything loop it classifies each failure
-        first: only *transient* faults are retried; fatal and poisoned
-        faults (bad parameters, an exceeded leakage budget, undecodable
-        wire bytes) re-raise immediately as the original exception
-        rather than burning the attempt budget on a failure that cannot
-        heal.  Exhaustion still raises
-        :class:`~repro.errors.ProtocolError` with the last transient
-        failure as its cause.
-        """
-        import warnings
-
-        warnings.warn(
-            "DLR.run_period_resilient is deprecated; drive lifecycles "
-            "through repro.runtime.SessionSupervisor (or "
-            "repro.runtime.drive_period_resilient for a single period)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if max_attempts < 1:
-            raise ProtocolError("max_attempts must be >= 1")
-        from repro.runtime.policy import RetryPolicy
-        from repro.runtime.session import drive_period_resilient
-
-        policy = RetryPolicy(max_attempts=max_attempts, base_backoff=0.0, jitter=0.0)
-        return drive_period_resilient(self, device1, device2, channel, ciphertext, policy)
-
-    # ------------------------------------------------------------------
-    # One period with several decryptions (section 3.3 extension)
-    # ------------------------------------------------------------------
+        record = self._period(device1, device2, channel, [("dec", ciphertext)])
+        (plaintext,) = record.plaintexts
+        return PeriodRecord(record.period, plaintext, record.snapshots, record.messages)
 
     def run_period_multi(
         self,
@@ -677,73 +547,34 @@ class DLR:
         channel: Transport,
         ciphertexts: list[Ciphertext],
     ) -> MultiPeriodRecord:
-        """Like :meth:`run_period`, but with several decryption protocol
-        executions inside one time period, all sharing one ``sk_comm``
-        and one set of refresh ciphertexts ``f_i`` (each decryption pairs
-        them with its own ``A``).  Crash-safe the same way: any failure
-        rolls back the staged rotation and erases the period secrets."""
+        """One time period with several decryptions (labels
+        ``dec.<i>.*``) sharing one ``sk_comm`` and one set of refresh
+        ciphertexts ``f_i``, then a single refresh, so the per-ciphertext
+        cost approaches the marginal decryption work as the batch grows
+        (docs/performance.md).  An empty batch still refreshes.
+        Crash-safe like :meth:`run_period`."""
+        jobs = [(f"dec.{index}", ct) for index, ct in enumerate(ciphertexts)]
+        return self._period(device1, device2, channel, jobs)
+
+    def _period(
+        self,
+        device1: Device,
+        device2: Device,
+        channel: Transport,
+        jobs: "list[tuple[str, Ciphertext]]",
+    ) -> MultiPeriodRecord:
+        """One period decrypting each ``(label prefix, ciphertext)`` job;
+        on success the channel advances and the rotation hook runs."""
         period = channel.current_period
-        share1 = self.share1_of(device1)
-        ell = self.params.ell
         snapshots: dict[tuple[int, str], PhaseSnapshot] = {}
-
-        def p1():
-            device1.secret.open_phase(f"t{period}.normal")
-            with device1.computing():
-                sk_comm = self.hpske_g.keygen(device1.rng)
-                device1.secret.store("period.sk_comm", sk_comm)
-                f_list = [
-                    self.hpske_g.encrypt(sk_comm, a_i, device1.rng) for a_i in share1.a
-                ]
-                f_phi = self.hpske_g.encrypt(sk_comm, share1.phi, device1.rng)
-
-            plaintexts: list[GTElement] = []
-            for index, ciphertext in enumerate(ciphertexts):
-                with device1.computing():
-                    a_precomp = self.group.pairing_precomp(ciphertext.a)
-                    transported = pair_ciphertexts(a_precomp, [*f_list, f_phi])
-                    d_list = tuple(transported[:-1])
-                    d_phi = transported[-1]
-                    d_b = self.hpske_gt.encrypt(sk_comm, ciphertext.b, device1.rng)
-                yield Send(f"dec.{index}.d", (d_list, d_phi, d_b))
-                message = yield Recv(f"dec.{index}.c_prime")
-                with device1.computing():
-                    plaintext = self.hpske_gt.decrypt(sk_comm, message.payload)
-                assert isinstance(plaintext, GTElement)
-                yield Send(f"dec.{index}.output", plaintext)
-                plaintexts.append(plaintext)
-
-            snapshots[(1, "normal")] = device1.secret.close_phase()
-            device1.secret.open_phase(f"t{period}.refresh")
-            with device1.computing():
-                fresh_a = tuple(self.group.random_g(device1.rng) for _ in range(ell))
-                device1.secret.store("period.a_next", list(fresh_a), derived=True)
-                f_new = [
-                    self.hpske_g.encrypt(sk_comm, fresh_a[i], device1.rng)
-                    for i in range(ell)
-                ]
-            f_pairs = tuple(zip(f_list, f_new))
-            yield Send("ref.f", (f_pairs, f_phi))
-
-            message = yield Recv("ref.f_combined")
-            with device1.computing():
-                new_phi = self.hpske_g.decrypt(sk_comm, message.payload)
-            device1.secret.store(SK1_PENDING_SLOT, Share1(a=fresh_a, phi=new_phi))
-            yield Send("ref.commit", True)
-            yield Commit()
-            device1.secret.erase("period.sk_comm")
-            device1.secret.erase("period.a_next")
-            snapshots[(1, "refresh")] = device1.secret.close_phase()
-            return plaintexts
-
         spec = ProtocolSpec(
-            "dlr.period_multi",
+            self._period_protocol,
             device1,
             device2,
-            p1,
-            lambda: self._p2_period_multi_steps(device2, period, snapshots),
-            secrets1=("period.sk_comm", "period.a_next"),
-            staged=DLR_STAGED,
+            lambda: self._p1_period_steps(device1, period, snapshots, jobs),
+            lambda: self._p2_period_steps(device2, period, snapshots),
+            secrets1=self._period_secrets1,
+            staged=self._period_staged,
             abort_message=(
                 f"time period {period} aborted during refresh; "
                 "both devices rolled back to their old shares"
@@ -756,29 +587,70 @@ class DLR:
 
         messages = channel.transcript(period)
         channel.advance_period()
+        self._after_rotation()
         return MultiPeriodRecord(period, plaintexts, snapshots, messages)
 
-    def decrypt_batch(
+    def _p1_period_steps(
         self,
         device1: Device,
-        device2: Device,
-        channel: Transport,
-        ciphertexts: "list[Ciphertext]",
-    ) -> MultiPeriodRecord:
-        """Decrypt a vector of ciphertexts in **one** key period.
+        period: int,
+        snapshots: dict[tuple[int, str], PhaseSnapshot],
+        jobs: "list[tuple[str, Ciphertext]]",
+    ):
+        """P1's whole time period: the refresh ciphertexts ``f_i`` come
+        first, each decryption derives its ``d_i`` from them by pairing
+        with its ``A`` (remark, section 5.2), and the refresh reuses them
+        under the same ``sk_comm``."""
+        share1 = self.share1_of(device1)
+        ell = self.params.ell
+        device1.secret.open_phase(f"t{period}.normal")
+        with device1.computing():
+            sk_comm = self.hpske_g.keygen(device1.rng)
+            device1.secret.store("period.sk_comm", sk_comm)
+            f_list = [self.hpske_g.encrypt(sk_comm, a_i, device1.rng) for a_i in share1.a]
+            f_phi = self.hpske_g.encrypt(sk_comm, share1.phi, device1.rng)
 
-        The amortised batch entry point: a single ``sk_comm``, a single
-        set of refresh ciphertexts ``f_i`` (each decryption pairs them
-        with its own ``A`` through one batched
-        :func:`~repro.core.hpske.pair_ciphertexts` leg), and a single
-        refresh at the end -- so the per-ciphertext cost approaches the
-        marginal decryption work as the batch grows (the break-even
-        sweep lives in ``benchmarks/bench_speed.py`` and
-        docs/performance.md).  Exactly :meth:`run_period_multi` under a
-        service-facing name; an empty batch still runs the period (the
-        refresh must happen regardless).
-        """
-        return self.run_period_multi(device1, device2, channel, ciphertexts)
+        plaintexts: list[GTElement] = []
+        for prefix, ciphertext in jobs:
+            with device1.computing():
+                # One Miller schedule for A, reused across every f_i
+                # coordinate (kappa + 1 pairings per ciphertext), all
+                # evaluated in one batched (pool-dispatchable) leg.
+                a_precomp = self.group.pairing_precomp(ciphertext.a)
+                transported = pair_ciphertexts(a_precomp, [*f_list, f_phi])
+                d_list = tuple(transported[:-1])
+                d_phi = transported[-1]
+                d_b = self.hpske_gt.encrypt(sk_comm, ciphertext.b, device1.rng)
+            yield Send(f"{prefix}.d", (d_list, d_phi, d_b))
+            message = yield Recv(f"{prefix}.c_prime")
+            with device1.computing():
+                plaintext = self.hpske_gt.decrypt(sk_comm, message.payload)
+            assert isinstance(plaintext, GTElement)
+            yield Send(f"{prefix}.output", plaintext)
+            plaintexts.append(plaintext)
+        snapshots[(1, "normal")] = device1.secret.close_phase()
+
+        # --- refresh phase (same sk_comm, f_i reused) -------------------
+        device1.secret.open_phase(f"t{period}.refresh")
+        with device1.computing():
+            fresh_a = tuple(self.group.random_g(device1.rng) for _ in range(ell))
+            device1.secret.store("period.a_next", list(fresh_a), derived=True)
+            f_new = [self.hpske_g.encrypt(sk_comm, a_i, device1.rng) for a_i in fresh_a]
+        yield Send("ref.f", (tuple(zip(f_list, f_new)), f_phi))
+
+        message = yield Recv("ref.f_combined")
+        with device1.computing():
+            new_phi = self.hpske_g.decrypt(sk_comm, message.payload)
+        device1.secret.store(SK1_PENDING_SLOT, Share1(a=fresh_a, phi=new_phi))
+        yield Send("ref.commit", True)
+        yield Commit()
+
+        # Erase every protocol secret of the period before the snapshots
+        # close (the slots must not seed the next phase).
+        device1.secret.erase("period.sk_comm")
+        device1.secret.erase("period.a_next")
+        snapshots[(1, "refresh")] = device1.secret.close_phase()
+        return plaintexts
 
     # ------------------------------------------------------------------
     # Share health check

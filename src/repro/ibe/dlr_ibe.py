@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.dlr import DLR, MultiPeriodRecord, PeriodRecord, combine_refresh
+from repro.core.dlr import DLR, combine_refresh
 from repro.core.keys import Share1, Share2
 from repro.errors import ProtocolError
 from repro.groups.bilinear import G1Element, GTElement
@@ -525,28 +525,12 @@ class DLRIBE(DLR):
         # pre-refresh extraction must observe staleness.
         self.extract_cache.record(identity)
 
-    # ------------------------------------------------------------------
-    # Master rotation closes the extract-cache epoch
-    # ------------------------------------------------------------------
-    #
-    # The master shares rotating is a period boundary on the master
-    # leakage ledger; identity keys extracted under the previous master
-    # generation stop being vouched for (see
-    # :meth:`repro.ibe.extract_cache.IdentityKeyCache.advance_epoch`).
-
-    def refresh_protocol(self, device1, device2, channel):
-        super().refresh_protocol(device1, device2, channel)
+    def _after_rotation(self) -> None:
+        """A master rotation (refresh or period) is a period boundary on
+        the master leakage ledger: identity keys extracted under the old
+        generation stop being vouched for
+        (:meth:`~repro.ibe.extract_cache.IdentityKeyCache.advance_epoch`)."""
         self.extract_cache.advance_epoch()
-
-    def run_period(self, device1, device2, channel, ciphertext):
-        record = super().run_period(device1, device2, channel, ciphertext)
-        self.extract_cache.advance_epoch()
-        return record
-
-    def run_period_multi(self, device1, device2, channel, ciphertexts):
-        record = super().run_period_multi(device1, device2, channel, ciphertexts)
-        self.extract_cache.advance_epoch()
-        return record
 
     # ------------------------------------------------------------------
     # One identity-key time period (for the session supervisor)

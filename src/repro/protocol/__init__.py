@@ -27,7 +27,7 @@ from repro.protocol.engine import (
     StepStat,
     TranscriptStats,
 )
-from repro.protocol.faults import FaultRule, FaultyChannel, FaultyTransport
+from repro.protocol.faults import FaultRule, FaultyTransport
 from repro.protocol.memory import MemoryRegion, PhaseSnapshot
 from repro.protocol.transport import InMemoryTransport, SocketTransport, Transport
 
@@ -36,7 +36,6 @@ __all__ = [
     "Commit",
     "Device",
     "FaultRule",
-    "FaultyChannel",
     "FaultyTransport",
     "InMemoryTransport",
     "MemoryRegion",

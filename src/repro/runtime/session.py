@@ -215,9 +215,11 @@ def drive_period_resilient(
 ) -> PeriodRecord:
     """One classified-retry period on caller-owned devices.
 
-    This is the engine behind the deprecated
-    ``DLR.run_period_resilient`` shim; new code should use
-    :class:`SessionSupervisor` for whole lifecycles.
+    Only *transient* faults are retried; fatal and poisoned faults
+    re-raise immediately as the original exception, and exhaustion
+    raises :class:`~repro.errors.ProtocolError` with the last transient
+    failure as its cause.  Use :class:`SessionSupervisor` for whole
+    lifecycles.
     """
     period = transport.current_period
     log = log if log is not None else SessionLog(scheme=scheme_kind_of(scheme))

@@ -68,10 +68,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.core.keys import Ciphertext
 from repro.errors import (
     AdmissionRejected,
     CheckpointError,
     DeadlineExceeded,
+    GroupError,
     ParameterError,
     ProtocolError,
     PeerDisconnected,
@@ -599,7 +601,7 @@ class KeyService:
         except KeyError as exc:
             outcome = "error"
             return {"ok": False, "code": "unknown-key", "error": str(exc)}, b""
-        except (ParameterError, WireFormatError, ValueError) as exc:
+        except (ParameterError, GroupError, WireFormatError, ValueError) as exc:
             outcome = "error"
             return {"ok": False, "code": "bad-request", "error": str(exc)}, b""
         except ProtocolError as exc:
@@ -729,6 +731,8 @@ class KeyService:
             # rehydrated session a ciphertext decoded into the evicted
             # twin's group.
             ciphertext = persist.loads(payload.decode("utf-8"), session.group)
+            if not isinstance(ciphertext, Ciphertext):
+                raise ServiceError("bad-request", "decrypt needs a ciphertext")
             return session.serve_decrypt(ciphertext, deadline=deadline)
 
         session, record = self._serve_on(header, serve)

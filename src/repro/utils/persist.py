@@ -128,9 +128,12 @@ def dump_ciphertext(ciphertext: Ciphertext) -> dict[str, Any]:
 
 
 def load_ciphertext(group: BilinearGroup, data: dict[str, Any]) -> Ciphertext:
-    return Ciphertext(
-        a=_g1_from_hex(group, data["a"]), b=_gt_from_hex(group, data["b"])
-    )
+    """``ParameterError`` on malformed data, ``GroupError`` on a non-element."""
+    try:
+        a, b = data["a"], data["b"]
+        return Ciphertext(a=_g1_from_hex(group, a), b=_gt_from_hex(group, b))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ParameterError(f"malformed ciphertext data: {exc!r}") from exc
 
 
 def dump_ciphertext_batch(ciphertexts: list[Ciphertext]) -> dict[str, Any]:
@@ -140,7 +143,10 @@ def dump_ciphertext_batch(ciphertexts: list[Ciphertext]) -> dict[str, Any]:
 def load_ciphertext_batch(
     group: BilinearGroup, data: dict[str, Any]
 ) -> list[Ciphertext]:
-    return [load_ciphertext(group, item) for item in data["items"]]
+    items = data.get("items") if isinstance(data, dict) else None
+    if not isinstance(items, list):
+        raise ParameterError("malformed ciphertext_batch data: expected an items list")
+    return [load_ciphertext(group, item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +201,8 @@ def loads(text: str, group: BilinearGroup | None = None) -> Any:
     self-contained.
     """
     envelope = json.loads(text)
+    if not isinstance(envelope, dict):
+        raise ParameterError("expected a {kind, data} envelope")
     kind = envelope.get("kind")
     data = envelope.get("data")
     if kind == "public_key":

@@ -1,4 +1,4 @@
-"""Scheme-level batch API tests: ``encrypt_batch`` / ``decrypt_batch``.
+"""Scheme-level batch API tests: ``encrypt_batch`` / ``run_period_multi``.
 
 The batch entry points are amortisation, not new cryptography: one
 shared window decision and one fixed-``A`` pairing schedule per vector,
@@ -46,7 +46,7 @@ class TestEncryptBatch:
         messages = [scheme.group.random_gt(rng) for _ in range(5)]
         ciphertexts = scheme.encrypt_batch(generation.public_key, messages, rng)
         assert len(ciphertexts) == len(messages)
-        record = scheme.decrypt_batch(p1, p2, channel, ciphertexts)
+        record = scheme.run_period_multi(p1, p2, channel, ciphertexts)
         assert list(record.plaintexts) == messages
 
     def test_empty_batch_encrypt(self, small_params, rng):
@@ -73,7 +73,7 @@ class TestDecryptBatch:
         before1 = _p1_share(scheme, p1)
         messages = [scheme.group.random_gt(rng) for _ in range(4)]
         ciphertexts = scheme.encrypt_batch(generation.public_key, messages, rng)
-        record = scheme.decrypt_batch(p1, p2, channel, ciphertexts)
+        record = scheme.run_period_multi(p1, p2, channel, ciphertexts)
         assert isinstance(record, MultiPeriodRecord)
         assert record.period == 0
         assert channel.current_period == 1
@@ -92,7 +92,7 @@ class TestDecryptBatch:
             ciphertexts = scheme.encrypt_batch(
                 generation.public_key, messages, rng
             )
-            record = scheme.decrypt_batch(p1, p2, channel, ciphertexts)
+            record = scheme.run_period_multi(p1, p2, channel, ciphertexts)
             assert list(record.plaintexts) == messages
             assert record.period == period
 
@@ -100,7 +100,7 @@ class TestDecryptBatch:
         scheme, generation, p1, p2, channel, _ = _installed(small_params, DLR)
         message = scheme.group.random_gt(rng)
         [ciphertext] = scheme.encrypt_batch(generation.public_key, [message], rng)
-        record = scheme.decrypt_batch(p1, p2, channel, [ciphertext])
+        record = scheme.run_period_multi(p1, p2, channel, [ciphertext])
         assert record.plaintexts == [message]
 
     def test_reference_decrypt_agrees_after_batch(self, small_params, rng):
@@ -109,7 +109,7 @@ class TestDecryptBatch:
         scheme, generation, p1, p2, channel, _ = _installed(small_params, DLR)
         messages = [scheme.group.random_gt(rng) for _ in range(3)]
         ciphertexts = scheme.encrypt_batch(generation.public_key, messages, rng)
-        scheme.decrypt_batch(p1, p2, channel, ciphertexts)
+        scheme.run_period_multi(p1, p2, channel, ciphertexts)
         probe = scheme.group.random_gt(rng)
         ct = scheme.encrypt(generation.public_key, probe, rng)
         assert (

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.dlr import DLR
+from repro.core.optimal import OptimalDLR
 from repro.protocol.channel import Channel
 from repro.protocol.device import Device
 
@@ -85,3 +86,50 @@ class TestMultiDecryption:
             record = scheme.run_period_multi(p1, p2, channel, ciphertexts)
             assert record.plaintexts == messages
             assert record.period == t
+
+
+def _one_ciphertext_period(scheme_cls, params, multi):
+    """One period from fixed seeds via ``run_period`` or, with ``multi``,
+    ``run_period_multi([ct])``; returns everything the two must share."""
+    scheme = scheme_cls(params)
+    rng = random.Random(4)
+    generation = scheme.generate(rng)
+    p1 = Device("P1", scheme.group, rng)
+    p2 = Device("P2", scheme.group, rng)
+    scheme.install(p1, p2, generation.share1, generation.share2)
+    traffic = random.Random(9)
+    message = scheme.group.random_gt(traffic)
+    ciphertext = scheme.encrypt(generation.public_key, message, traffic)
+    if multi:
+        record = scheme.run_period_multi(p1, p2, Channel(), [ciphertext])
+        (plaintext,) = record.plaintexts
+    else:
+        record = scheme.run_period(p1, p2, Channel(), ciphertext)
+        plaintext = record.plaintext
+    assert plaintext == message
+    return {
+        "snapshots": {
+            key: (snap.label, snap.names(), snap.to_bits())
+            for key, snap in record.snapshots.items()
+        },
+        "shares": scheme.snapshot_shares(p1, p2),
+        "labels": [m.label for m in record.messages],
+        "wire": [(m.sender, m.recipient, m.to_bits()) for m in record.messages],
+    }
+
+
+@pytest.mark.parametrize("scheme_cls", [DLR, OptimalDLR])
+def test_run_period_is_the_batch_of_one(small_params, scheme_cls):
+    """``run_period(ct)`` is the k=1 case of ``run_period_multi``: from
+    identical seeds the two differ only in the ``dec.`` / ``dec.0.``
+    label prefix."""
+    single = _one_ciphertext_period(scheme_cls, small_params, multi=False)
+    multi = _one_ciphertext_period(scheme_cls, small_params, multi=True)
+    assert single["labels"] == [
+        "dec.d", "dec.c_prime", "dec.output", "ref.f", "ref.f_combined", "ref.commit"
+    ]
+    assert multi["labels"] == [
+        label.replace("dec.", "dec.0.") for label in single["labels"]
+    ]
+    for field in ("snapshots", "shares", "wire"):
+        assert single[field] == multi[field], field

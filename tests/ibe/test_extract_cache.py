@@ -14,11 +14,13 @@ import random
 
 import pytest
 
-from repro.errors import ParameterError
+from repro.core.keys import PublicKey
+from repro.errors import ParameterError, RefreshAborted
 from repro.ibe.dlr_ibe import DLRIBE, _id_slot
 from repro.ibe.extract_cache import IdentityKeyCache
 from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.faults import DROP, FaultRule, FaultyTransport
 
 N_ID = 4
 
@@ -39,6 +41,26 @@ def fresh_devices(dibe, setup, seed=2):
     p2 = Device("P2", dibe.group, rng)
     dibe.install(p1, p2, setup.share1, setup.share2)
     return p1, p2, Channel()
+
+
+#: Every entry point that rotates the master shares.
+MASTER_ROTATIONS = ["refresh_protocol", "run_period", "run_period_multi"]
+
+
+def rotate_master(dibe, setup, rotation, p1, p2, channel, rng):
+    """Rotate the master shares through ``rotation``; the periods decrypt
+    one master-key ciphertext on the way."""
+    if rotation == "refresh_protocol":
+        dibe.refresh_protocol(p1, p2, channel)
+        return
+    public_key = PublicKey(dibe.params, setup.public_params.z)
+    message = dibe.group.random_gt(rng)
+    ciphertext = dibe.encrypt(public_key, message, rng)
+    if rotation == "run_period":
+        assert dibe.run_period(p1, p2, channel, ciphertext).plaintext == message
+    else:
+        record = dibe.run_period_multi(p1, p2, channel, [ciphertext])
+        assert record.plaintexts == [message]
 
 
 class TestCacheUnit:
@@ -183,15 +205,16 @@ class TestInvalidationRegressions:
         assert dibe.extract_cache.is_current(dibe.extract_cache.token("alice"))
         assert dibe.decrypt_protocol_id(p1, p2, channel, "alice", ct) == message
 
+    @pytest.mark.parametrize("rotation", MASTER_ROTATIONS)
     def test_master_refresh_advances_epoch_and_forces_reextract(
-        self, dibe, setup, rng
+        self, dibe, setup, rng, rotation
     ):
         p1, p2, channel = fresh_devices(dibe, setup)
         pp = setup.public_params
         dibe.extract_batch(pp, p1, p2, channel, ["alice", "bob"])
         epoch_before = dibe.extract_cache.epoch
 
-        dibe.refresh_protocol(p1, p2, channel)
+        rotate_master(dibe, setup, rotation, p1, p2, channel, rng)
 
         assert dibe.extract_cache.epoch == epoch_before + 1
         assert not dibe.extract_cache.is_fresh("alice")
@@ -204,6 +227,24 @@ class TestInvalidationRegressions:
         message = dibe.group.random_gt(rng)
         ct = dibe.encrypt_to(pp, "alice", message, rng)
         assert dibe.decrypt_protocol_id(p1, p2, channel, "alice", ct) == message
+
+    @pytest.mark.parametrize("rotation", MASTER_ROTATIONS)
+    def test_aborted_master_rotation_keeps_epoch(self, dibe, setup, rng, rotation):
+        """A rotation that rolls back (fault before ``ref.commit`` lands)
+        left the master shares in place, so the epoch must not move."""
+        p1, p2, _ = fresh_devices(dibe, setup)
+        pp = setup.public_params
+        channel = FaultyTransport()
+        dibe.extract_batch(pp, p1, p2, channel, ["alice"])
+        epoch_before = dibe.extract_cache.epoch
+
+        channel.add_rule(FaultRule(mode=DROP, label="ref.commit"))
+        with pytest.raises(RefreshAborted):
+            rotate_master(dibe, setup, rotation, p1, p2, channel, rng)
+
+        assert dibe.extract_cache.epoch == epoch_before
+        assert dibe.extract_cache.is_fresh("alice")
+        assert dibe.extract_batch(pp, p1, p2, channel, ["alice"]) == []
 
     def test_identity_period_rotates_generation_not_epoch(self, dibe, setup, rng):
         """An identity period ends in an identity refresh -- a *per-key*

@@ -3,7 +3,7 @@ the two devices with consistent shares and no lingering protocol
 secrets.
 
 The staged share rotation commits only at the ``ref.commit`` boundary;
-everything earlier rolls back.  These tests drive :class:`FaultyChannel`
+everything earlier rolls back.  These tests drive :class:`FaultyTransport`
 through every boundary of the decryption and refresh flows and check
 the invariants the leakage model depends on:
 
@@ -12,7 +12,7 @@ the invariants the leakage model depends on:
   staged, as the injected fault otherwise;
 * no protocol secret (``*.sk_comm``, ``*.a_next``, pending shares)
   survives in secret memory after the protocol exits;
-* ``run_period_resilient`` completes the period on the retry.
+* ``drive_period_resilient`` completes the period on the retry.
 
 The whole suite runs twice: over the in-memory transport and over a
 real :class:`SocketTransport` with P1 and P2 in separate threads (a
@@ -41,6 +41,7 @@ from repro.protocol.faults import (
     FaultyTransport,
 )
 from repro.protocol.transport import SocketTransport
+from repro.runtime import RetryPolicy, drive_period_resilient
 from repro.utils.bits import BitString
 
 PROTOCOL_SECRET_SUFFIXES = (".sk_comm", ".a_next", ".pending", ".delta", ".r")
@@ -151,6 +152,10 @@ class TestEveryBoundary:
         assert (2, "refresh") in info.value.snapshots
 
 
+def no_backoff(max_attempts: int = 3) -> RetryPolicy:
+    return RetryPolicy(max_attempts=max_attempts, base_backoff=0.0, jitter=0.0)
+
+
 class TestResilientDriver:
     @pytest.mark.parametrize("label", REFRESH_BOUNDARIES)
     def test_completes_on_retry_after_one_fault(self, scheme, label, make_faulty):
@@ -159,7 +164,7 @@ class TestResilientDriver:
         message = scheme.group.random_gt(rng)
         ciphertext = scheme.encrypt(generation.public_key, message, rng)
 
-        record = scheme.run_period_resilient(p1, p2, channel, ciphertext)
+        record = drive_period_resilient(scheme, p1, p2, channel, ciphertext, no_backoff())
         assert record.plaintext == message
         # The rotation did go through on the successful attempt.
         assert scheme.share1_of(p1) is not generation.share1
@@ -176,17 +181,9 @@ class TestResilientDriver:
             generation.public_key, scheme.group.random_gt(rng), rng
         )
         with pytest.raises(ProtocolError, match="did not complete"):
-            scheme.run_period_resilient(p1, p2, channel, ciphertext, max_attempts=3)
+            drive_period_resilient(scheme, p1, p2, channel, ciphertext, no_backoff(3))
         # Even after exhausting retries the shares are consistent.
         assert scheme.verify_shares(generation.public_key, p1, p2, Channel(), rng)
-
-    def test_invalid_max_attempts(self, scheme):
-        generation, p1, p2, rng = make_setting(scheme)
-        ciphertext = scheme.encrypt(
-            generation.public_key, scheme.group.random_gt(rng), rng
-        )
-        with pytest.raises(ProtocolError):
-            scheme.run_period_resilient(p1, p2, Channel(), ciphertext, max_attempts=0)
 
 
 class TestMultiPeriodSoak:

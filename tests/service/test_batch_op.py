@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -70,6 +71,47 @@ class TestDecryptBatchOp:
                 request_id="r",
             )
         assert excinfo.value.code == "bad-request"
+
+    @pytest.mark.parametrize(
+        "op, kind",
+        [
+            ("decrypt", "share2"),
+            ("decrypt", "public_key"),
+            ("decrypt_batch", "int_list"),
+            ("decrypt", "corrupt_point"),
+        ],
+    )
+    def test_wrong_kind_payload_is_bad_request_and_spends_nothing(
+        self, client, registry, op, kind
+    ):
+        """A decodable envelope of the wrong kind (or malformed data) is
+        rejected before the session runs: no period, no attempt record."""
+        client.open_key("acme", "k", seed=1)
+        public_key = client.public_key("acme", "k")
+        if kind == "share2":
+            from repro.core.dlr import DLR
+
+            share2 = DLR(public_key.params).generate(random.Random(2)).share2
+            text = persist.dumps("share2", share2)
+        elif kind == "public_key":
+            text = persist.dumps("public_key", public_key)
+        elif kind == "int_list":
+            text = json.dumps({"kind": "ciphertext_batch", "data": [1, 2]})
+        else:
+            _, (ciphertext,) = _encrypt_many(client, "acme", "k", 1)
+            envelope = json.loads(persist.dumps("ciphertext", ciphertext))
+            length, _, payload = envelope["data"]["a"].partition(":")
+            flipped = int(payload, 16) ^ 0b1100
+            envelope["data"]["a"] = f"{length}:{flipped:0{len(payload)}x}"
+            text = json.dumps(envelope)
+        session = registry.get("acme", "k")
+        attempts_before = list(session.supervisor.log.attempts)
+
+        with pytest.raises(ServiceError) as excinfo:
+            client.call(op, text.encode("utf-8"), tenant="acme", key="k")
+        assert excinfo.value.code == "bad-request"
+        assert session.next_period == 0
+        assert session.supervisor.log.attempts == attempts_before
 
     def test_batch_size_histogram_exposed(self, client, service):
         client.open_key("acme", "k", seed=1)

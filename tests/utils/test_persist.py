@@ -103,6 +103,23 @@ class TestValidation:
         with pytest.raises(ParameterError):
             persist.loads(json.dumps(envelope))
 
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            [1, 2],
+            {"kind": "ciphertext", "data": [1, 2]},
+            {"kind": "ciphertext", "data": {"a": "8:ff"}},
+            {"kind": "ciphertext", "data": {"a": 5, "b": 6}},
+            {"kind": "ciphertext", "data": {"a": "x:zz", "b": "x:zz"}},
+            {"kind": "ciphertext_batch", "data": [1, 2]},
+            {"kind": "ciphertext_batch", "data": {"items": [1]}},
+        ],
+    )
+    def test_malformed_ciphertext_data_rejected(self, material, envelope):
+        scheme, *_ = material
+        with pytest.raises(ParameterError):
+            persist.loads(json.dumps(envelope), scheme.group)
+
     def test_corrupt_element_rejected(self, material):
         from repro.errors import GroupError
 
