@@ -270,27 +270,18 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Batch / multi-core benchmarks
+# Batch benchmarks
 
 
 def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
-    """Amortized batch APIs vs the single-op path, plus the pool leg.
+    """Amortized batch APIs vs the single-op path.
 
     ``decrypt_amortization_bN`` compares the *per-ciphertext* wall-clock
     of a batch-of-N period (:meth:`~repro.core.dlr.DLR.run_period_multi`:
     N decrypts sharing one refresh, one precomp schedule, one batched
     multiexp window decision) against one single-ciphertext period --
     the ratio is the amortization factor and is machine-invariant.
-
-    ``pool_evaluate_many_jobs2`` compares one fixed-argument pairing
-    schedule evaluated over a vector with ``jobs=2`` (process pool)
-    against ``jobs=1`` (in-process): the same-machine multi-core gate
-    (``--require-pool``) reads its speedup, which only exceeds 1 with
-    >= 2 cores -- a committed baseline from a 1-core box honestly
-    records ~1.0x.
     """
-    from repro.groups.pairing import PairingPrecomp
-    from repro.parallel import shutdown_pool
     from repro.protocol.channel import Channel
     from repro.protocol.device import Device
 
@@ -325,22 +316,6 @@ def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
 
         t_batch = trimmed_median(batched, warmup, repeats)
         report[f"decrypt_amortization_b{batch}"] = _entry(t_batch / batch, t_single)
-
-    left = group.random_g(rng).point
-    points = [group.random_g(rng).point for _ in range(32)]
-    precomp = PairingPrecomp(left, group.params)
-
-    def pool_jobs2():
-        return precomp.evaluate_many(points, jobs=2)
-
-    def in_process():
-        return precomp.evaluate_many(points, jobs=1)
-
-    report["pool_evaluate_many_jobs2"] = _entry(
-        trimmed_median(pool_jobs2, warmup, repeats),
-        trimmed_median(in_process, warmup, repeats),
-    )
-    shutdown_pool()
     return report
 
 
@@ -442,12 +417,6 @@ def _speedups(report: dict) -> dict[str, float]:
     ratios = {}
     for section in ("kernels", "schemes", "batch"):
         for name, entry in report.get(section, {}).items():
-            if name.startswith("pool_"):
-                # Pool speedups scale with the machine's core count --
-                # not machine-invariant, so the --check gate must not
-                # compare them across machines.  The same-machine
-                # --require-pool gate owns them instead.
-                continue
             ratios[f"{section}.{name}"] = entry["speedup"]
     return ratios
 
@@ -539,27 +508,6 @@ def check_acceleration(report: dict, bench: str, ratio: float) -> list[str]:
     return []
 
 
-def check_pool(report: dict, bench: str, ratio: float) -> list[str]:
-    """Same-machine multi-core gate over a ``batch`` pool entry.
-
-    The entry's speedup already *is* the jobs=2 vs jobs=1 comparison
-    measured in this process on identical inputs, so the gate simply
-    requires it to reach ``ratio``.  Only meaningful on a machine with
-    >= 2 cores -- CI's multi-core job runs it; a 1-core dev box should
-    not (its honest speedup is ~1.0x).
-    """
-    entry = report.get("batch", {}).get(bench)
-    if entry is None:
-        return [f"--require-pool: unknown batch benchmark {bench!r}"]
-    if entry["speedup"] < ratio:
-        return [
-            f"{bench}: pool speedup {entry['speedup']:.2f}x "
-            f"({entry['naive_ms']}ms in-process vs {entry['fast_ms']}ms pooled), "
-            f"required >= {ratio:.2f}x (cpu_count={report.get('cpu_count')})"
-        ]
-    return []
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -590,14 +538,6 @@ def main(argv=None) -> int:
         metavar="BENCH[:RATIO]",
         help="fail unless the last non-python --backends column beats the "
         "python column by RATIO (default 1.5) on BENCH (e.g. p2_full_decrypt:1.5)",
-    )
-    parser.add_argument(
-        "--require-pool",
-        default=None,
-        metavar="BENCH[:RATIO]",
-        help="fail unless the batch-section pool entry BENCH reaches a jobs=2 "
-        "vs jobs=1 speedup of RATIO (default 1.5); same-machine gate, run it "
-        "only on >= 2 cores (e.g. pool_evaluate_many_jobs2:1.5)",
     )
     args = parser.parse_args(argv)
 
@@ -670,20 +610,6 @@ def main(argv=None) -> int:
             return 1
         sys.stderr.write(f"acceleration gate passed ({bench} >= {ratio:.2f}x)\n")
 
-    if args.require_pool:
-        bench, _, ratio_text = args.require_pool.partition(":")
-        try:
-            ratio = float(ratio_text) if ratio_text else 1.5
-        except ValueError:
-            sys.stderr.write(f"--require-pool: bad ratio {ratio_text!r}\n")
-            return 2
-        failures = check_pool(report, bench, ratio)
-        if failures:
-            sys.stderr.write("pool gate FAILED:\n")
-            for failure in failures:
-                sys.stderr.write(f"  {failure}\n")
-            return 1
-        sys.stderr.write(f"pool gate passed ({bench} >= {ratio:.2f}x)\n")
     return 0
 
 

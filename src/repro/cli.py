@@ -428,13 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="field-arithmetic backend (default: $REPRO_BACKEND or auto-detect; "
         "see docs/performance.md)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for batch pairing/multiexp kernels "
-        "(default: $REPRO_JOBS or 1 = in-process; see docs/performance.md)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     keygen = sub.add_parser("keygen", help="generate pk + device shares")
@@ -590,13 +583,6 @@ def main(argv: list[str] | None = None) -> int:
         except ParameterError as exc:
             print(f"--backend {args.backend}: {exc}", file=sys.stderr)
             return 2
-    if args.jobs is not None:
-        from repro.parallel import set_jobs
-
-        if args.jobs < 1:
-            print(f"--jobs {args.jobs}: must be >= 1", file=sys.stderr)
-            return 2
-        set_jobs(args.jobs)
     return args.fn(args)
 
 

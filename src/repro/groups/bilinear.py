@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence, TypeVar
 
 from repro.errors import GroupError
@@ -27,7 +26,6 @@ from repro.groups.pairing_params import PairingParams
 from repro.groups.sampling import random_gt_value, random_subgroup_point
 from repro.math.backend import active_backend
 from repro.math.fields import Fq2
-from repro.parallel import parallel_map
 from repro.utils.bits import BitString
 from repro.utils.serialization import int_width
 
@@ -276,9 +274,7 @@ class G1Element:
         bumps ``g_multiexp`` by its own term count, and degenerate /
         reference-mode instances still degrade to the per-term ladder --
         but all Straus-sized instances share one window decision and one
-        batched inversion (:func:`repro.groups.fastops.batch_multiexp_points`),
-        and with the process pool enabled the kernel fans out across
-        workers (:mod:`repro.parallel`).
+        batched inversion (:func:`repro.groups.fastops.batch_multiexp_points`).
         """
         results: list[G1Element | None] = [None] * len(instances)
         fast: list[tuple[int, BilinearGroup, list[tuple[G1Element, int]]]] = []
@@ -308,9 +304,7 @@ class G1Element:
                 )
                 for _, _, terms in entries
             ]
-            points = parallel_map(
-                partial(fastops.batch_multiexp_points_chunk, q), kernel_instances
-            )
+            points = fastops.batch_multiexp_points(kernel_instances, q)
             for (idx, group, _), point in zip(entries, points):
                 results[idx] = G1Element(group, point)
         return results  # type: ignore[return-value]
@@ -435,9 +429,7 @@ class GTElement:
                 )
                 for _, _, terms in entries
             ]
-            values = parallel_map(
-                partial(fastops.batch_multiexp_fq2_chunk, q), kernel_instances
-            )
+            values = fastops.batch_multiexp_fq2(kernel_instances, q)
             for (idx, group, _), (a, b) in zip(entries, values):
                 results[idx] = GTElement(group, Fq2._from_reduced(a, b, q))
         return results  # type: ignore[return-value]
@@ -500,9 +492,8 @@ class G1Precomp:
         Values and counter totals equal mapping :meth:`pair` (each
         element still counts one ``pairings_precomp``; reference mode
         still degrades every element to a full pairing), but the
-        schedule is built at most once and the evaluations go through
-        :meth:`~repro.groups.pairing.PairingPrecomp.evaluate_many` --
-        fanning out across the :mod:`repro.parallel` pool when enabled.
+        schedule is built at most once and serves every evaluation
+        (:meth:`~repro.groups.pairing.PairingPrecomp.pair_with_many`).
         """
         group = self.element.group
         for right in rights:

@@ -52,12 +52,6 @@ class Point:
             return self
         return Point(self.x, (-self.y) % q, False)
 
-    def __reduce__(self):
-        # Explicit recipe: frozen+slots dataclasses only gained default
-        # pickle support in 3.11, and the int() coercion guarantees a
-        # backend-independent wire form for the repro.parallel pool.
-        return (Point, (int(self.x), int(self.y), self.infinity))
-
 
 INFINITY = Point.at_infinity()
 

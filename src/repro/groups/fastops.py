@@ -291,16 +291,6 @@ def batch_multiexp_points(
     return results  # type: ignore[return-value]
 
 
-def batch_multiexp_points_chunk(
-    q: int, instances: "list[tuple[list[Point], list[int]]]"
-) -> list[Point]:
-    """Pool worker: :func:`batch_multiexp_points` with the modulus bound
-    first (``functools.partial(…, q)`` pickles for
-    :func:`repro.parallel.parallel_map`).  Pure per-chunk form -- it must
-    never dispatch back through the pool itself."""
-    return batch_multiexp_points(instances, q)
-
-
 # ---------------------------------------------------------------------------
 # GT (F_{q^2} subgroup) kernels
 
@@ -423,14 +413,6 @@ def batch_multiexp_fq2(
             values, instances[idx][1], w, digits, lifted_q
         )
     return results  # type: ignore[return-value]
-
-
-def batch_multiexp_fq2_chunk(
-    q: int, instances: "list[tuple[list[_RawFq2], list[int]]]"
-) -> list[_RawFq2]:
-    """Pool worker: :func:`batch_multiexp_fq2` with the modulus bound
-    first; see :func:`batch_multiexp_points_chunk`."""
-    return batch_multiexp_fq2(instances, q)
 
 
 def _pippenger_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawFq2:

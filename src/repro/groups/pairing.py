@@ -42,8 +42,6 @@ multiplications per step instead of a full curve walk.
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.groups.curve import (
     Point,
     _jacobian_add_affine,
@@ -54,7 +52,6 @@ from repro.groups.pairing_params import PairingParams
 from repro.math.backend import active_backend
 from repro.math.fields import Fq2
 from repro.math.modular import batch_inv
-from repro.parallel import parallel_map
 
 _RawFq2 = tuple[int, int]
 
@@ -293,97 +290,9 @@ class PairingPrecomp:
         raw = final_exponentiation(self.miller_eval(q_point), self.params)
         return Fq2._from_reduced(raw[0], raw[1], self.params.q)
 
-    def evaluate_many(
-        self, q_points: "list[Point]", jobs: int | None = None
-    ) -> list[_RawFq2]:
-        """``e(P, Q_i)`` for a whole vector, as canonical raw pairs.
-
-        The cached schedule is built once and serves every ``Q_i``; with
-        the process pool enabled (``jobs > 1``, or the
-        :func:`repro.parallel.get_jobs` default) the evaluations fan out
-        across workers, with only canonical ints crossing the process
-        boundary (the schedule coefficients already are; the ``Q``
-        coordinates are coerced here).  Results are bit-identical to --
-        and ordered like -- mapping :meth:`pair_with` over the vector.
-        """
-        xys = [
-            None
-            if self._trivial or pt.is_infinity()
-            else (int(pt.x), int(pt.y))
-            for pt in q_points
-        ]
-        worker = partial(
-            evaluate_schedule_chunk, self.steps, self.params.q, self.params.h
-        )
-        return parallel_map(worker, xys, jobs=jobs)
-
-    def pair_with_many(
-        self, q_points: "list[Point]", jobs: int | None = None
-    ) -> list[Fq2]:
-        """:meth:`evaluate_many`, lifted to ``F_{q^2}`` elements."""
-        q = self.params.q
-        return [
-            Fq2._from_reduced(a, b, q)
-            for a, b in self.evaluate_many(q_points, jobs=jobs)
-        ]
-
-
-def _evaluate_schedule(
-    steps: list[tuple[tuple[int, int] | None, tuple[int, int] | None]],
-    q: int,
-    h: int,
-    xy: tuple[int, int] | None,
-) -> _RawFq2:
-    """One full pairing evaluation from a cached schedule, ints-only.
-
-    ``xy`` is the affine ``(x, y)`` of ``Q`` as canonical ints, or
-    ``None`` for the point at infinity / a trivial schedule.  Runs the
-    cached Miller evaluation *and* the final exponentiation; every input
-    is a plain int (or tuple thereof), so a
-    :func:`functools.partial` over :func:`evaluate_schedule_chunk` is
-    picklable and backend-independent for the
-    :mod:`repro.parallel` pool.  Each call lifts onto whatever backend
-    is active in *this* process.
-    """
-    if xy is None:
-        return (1, 0)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-    lift = backend.lift
-    lq = lift(q)
-    phi_x = lift(-xy[0]) % lq
-    neg_phi_y = lift(-xy[1]) % lq
-    f: _RawFq2 = (1, 0)
-    for dbl_coeffs, add_coeffs in steps:
-        f = fq2_square(f, lq)
-        if dbl_coeffs is not None:
-            slope, offset = dbl_coeffs
-            f = fq2_mul(f, ((slope * phi_x + offset) % lq, neg_phi_y), lq)
-        if add_coeffs is not None:
-            slope, offset = add_coeffs
-            f = fq2_mul(f, ((slope * phi_x + offset) % lq, neg_phi_y), lq)
-    # Final exponentiation (q - 1) * h: Frobenius is conjugation.
-    a, b = f[0] % lq, f[1] % lq
-    conjugate: _RawFq2 = (a, (-b) % lq)
-    powered = fq2_mul(conjugate, backend.fq2_inverse((a, b), lq), lq)
-    raw = backend.fq2_pow(powered, h, lq)
-    return (backend.unlift(raw[0]), backend.unlift(raw[1]))
-
-
-def evaluate_schedule_chunk(
-    steps: list[tuple[tuple[int, int] | None, tuple[int, int] | None]],
-    q: int,
-    h: int,
-    xys: list[tuple[int, int] | None],
-) -> list[_RawFq2]:
-    """Pool worker: evaluate one cached schedule at many ``Q``.
-
-    Module-level so it pickles; dispatched by
-    :meth:`PairingPrecomp.evaluate_many` via
-    :func:`repro.parallel.parallel_map` with the schedule bound through
-    :func:`functools.partial`.
-    """
-    return [_evaluate_schedule(steps, q, h, xy) for xy in xys]
+    def pair_with_many(self, q_points: "list[Point]") -> list[Fq2]:
+        """:meth:`pair_with` over a whole vector, off one cached schedule."""
+        return [self.pair_with(q_point) for q_point in q_points]
 
 
 def final_exponentiation(value: _RawFq2, params: PairingParams) -> _RawFq2:

@@ -102,14 +102,6 @@ class Fq:
     def __int__(self) -> int:
         return self.value
 
-    def __reduce__(self):
-        # Frozen slotted dataclasses have no __dict__ for the default
-        # pickle protocol, and a coordinate produced by an accelerated
-        # backend may be a backend-native integer (gmpy2 mpz): coerce to
-        # canonical int so the pickled form crosses process boundaries
-        # (the repro.parallel pool) independent of the sending backend.
-        return (Fq, (int(self.value), int(self.q)))
-
 
 @dataclass(frozen=True, slots=True)
 class Fq2:
@@ -223,12 +215,6 @@ class Fq2:
 
     def to_tuple(self) -> tuple[int, int]:
         return (self.a, self.b)
-
-    def __reduce__(self):
-        # See Fq.__reduce__: slots + frozen needs an explicit recipe, and
-        # the int() coercion unlifts any backend-native coordinates so
-        # the wire form is backend-independent.
-        return (Fq2, (int(self.a), int(self.b), int(self.q)))
 
     def __repr__(self) -> str:
         return f"Fq2({self.a} + {self.b}i mod {self.q})"

@@ -55,6 +55,18 @@ from repro.utils.serialization import WireCodec, encode_any, wire_copy
 # they never touch the device-channel protocol frames -- golden
 # transcripts are unaffected.
 
+#: Largest header / payload a frame may declare.  Both lengths arrive
+#: before any body byte, so a peer could otherwise make the reader
+#: allocate whatever it claims.  Real headers are routing metadata
+#: (a few hundred bytes) and real payloads are ciphertext batches and
+#: ``stats``/``metrics`` replies of a few KiB; the caps sit far above both.
+MAX_HEADER_BYTES = 1 << 20
+MAX_PAYLOAD_BYTES = 64 << 20
+
+#: Most bytes one ``recv`` call asks for, so a large declared frame
+#: grows its buffer with the data actually received.
+RECV_CHUNK_BYTES = 64 << 10
+
 
 def encode_frame(header: dict, payload: bytes) -> bytes:
     """Serialize one frame; the inverse of :func:`recv_frame`."""
@@ -78,7 +90,7 @@ def read_exact(endpoint: socket.socket, n: int, who: str, timeout=None) -> bytes
     chunks = bytearray()
     while len(chunks) < n:
         try:
-            chunk = endpoint.recv(n - len(chunks))
+            chunk = endpoint.recv(min(n - len(chunks), RECV_CHUNK_BYTES))
         except socket.timeout as exc:
             suffix = "" if timeout is None else f" within {timeout}s"
             raise TransportTimeout(
@@ -95,15 +107,27 @@ def read_exact(endpoint: socket.socket, n: int, who: str, timeout=None) -> bytes
 def recv_frame(endpoint: socket.socket, who: str, timeout=None) -> tuple[dict, bytes]:
     """Read one complete frame: ``(header, payload bytes)``."""
     header_len = int.from_bytes(read_exact(endpoint, 4, who, timeout), "big")
+    if header_len > MAX_HEADER_BYTES:
+        raise WireFormatError(
+            f"{who} received a frame header of {header_len} bytes "
+            f"(limit {MAX_HEADER_BYTES})"
+        )
     try:
         header = json.loads(read_exact(endpoint, header_len, who, timeout))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integer
+        # literals; RecursionError a too deeply nested header.
         raise WireFormatError(f"{who} received an undecodable frame header") from exc
     if not isinstance(header, dict):
         raise WireFormatError(
             f"{who} received a non-object frame header ({type(header).__name__})"
         )
     payload_len = int.from_bytes(read_exact(endpoint, 8, who, timeout), "big")
+    if payload_len > MAX_PAYLOAD_BYTES:
+        raise WireFormatError(
+            f"{who} received a frame payload of {payload_len} bytes "
+            f"(limit {MAX_PAYLOAD_BYTES})"
+        )
     payload = read_exact(endpoint, payload_len, who, timeout)
     return header, payload
 

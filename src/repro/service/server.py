@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import socket
 import threading
 import time
@@ -109,6 +110,12 @@ REQUEST_SECONDS_BUCKETS = (
 #: the bench sweep, so operators can read amortization off the same axis.
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
+#: Most ciphertexts one ``decrypt_batch`` may carry: the whole batch runs
+#: as one period under the session lock, so an unbounded batch would
+#: hold that lock for as long as the client likes.  The top
+#: :data:`BATCH_SIZE_BUCKETS` bucket.
+MAX_DECRYPT_BATCH = BATCH_SIZE_BUCKETS[-1]
+
 #: Service health states reported by the ``health`` op.
 READY = "ready"
 DRAINING = "draining"
@@ -130,6 +137,8 @@ INVALID_TENANT_LABEL = "__invalid__"
 
 #: The overflow bucket once :data:`MAX_TENANT_LABELS` is reached.
 OVERFLOW_TENANT_LABEL = "__other__"
+
+_log = logging.getLogger(__name__)
 
 
 class KeyService:
@@ -502,6 +511,13 @@ class KeyService:
                 # a drain the loop keeps answering (light ops served,
                 # heavy ops refused with ``draining``) until stop()'s
                 # connection cut wakes the recv with PeerDisconnected.
+        except Exception as exc:
+            # The pool discards this call's future, so an exception that
+            # escapes here would vanish: count it and log the traceback.
+            self.metrics.counter(
+                "service.worker_crashes", exc=type(exc).__name__
+            ).inc()
+            _log.exception("service worker crashed serving a connection")
         finally:
             with self._connections_lock:
                 self._connections.discard(connection)
@@ -762,6 +778,12 @@ class KeyService:
             if not isinstance(ciphertexts, list) or not ciphertexts:
                 raise ServiceError(
                     "bad-request", "decrypt_batch needs a non-empty ciphertext_batch"
+                )
+            if len(ciphertexts) > MAX_DECRYPT_BATCH:
+                raise ServiceError(
+                    "bad-request",
+                    f"decrypt_batch of {len(ciphertexts)} ciphertexts exceeds "
+                    f"the limit of {MAX_DECRYPT_BATCH}",
                 )
             return session.serve_decrypt_batch(ciphertexts, deadline=deadline)
 

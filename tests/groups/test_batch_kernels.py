@@ -1,16 +1,13 @@
 """Equivalence suite for the amortized batch kernels.
 
 ``batch_multiexp_*`` shares one window decision and one Montgomery-trick
-inversion across a vector of multiexp instances; ``evaluate_many`` /
+inversion across a vector of multiexp instances; ``pair_with_many`` /
 ``pair_many`` serve a vector of right points from one cached Miller
-schedule, optionally fanned across the :mod:`repro.parallel` process
-pool.  All of them are *pure reorganizations*: every output must be
+schedule.  All of them are *pure reorganizations*: every output must be
 bit-identical to the sequential loop they replace, on every available
-field backend, at sizes straddling the Pippenger threshold, and with
-the pool active.
+field backend and at sizes straddling the Pippenger threshold.
 """
 
-import os
 import random
 
 import pytest
@@ -18,9 +15,8 @@ import pytest
 from repro.groups import fastops, preset_group
 from repro.groups.bilinear import G1Element, GTElement
 from repro.groups.fastops import PIPPENGER_THRESHOLD
-from repro.groups.pairing import PairingPrecomp
+from repro.groups.pairing import PairingPrecomp, tate_pairing
 from repro.math.backend import available_backends, use_backend
-from repro.parallel import parallel_map, set_jobs, shutdown_pool
 
 BACKENDS = available_backends()
 
@@ -112,21 +108,6 @@ class TestMultiexpBatchEquivalence:
         small_group.counter.reset()
         assert batched == sequential
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_pooled_dispatch_matches(self, small_group, rng, backend_name):
-        """jobs=2 fans the kernel instances across worker processes; the
-        re-lifted results must be identical to the in-process run."""
-        with use_backend(backend_name):
-            instances = _g1_instances(small_group, rng, [3, 6, 9, 4, 8, 2, 5, 7, 11, 3])
-            in_process = G1Element.multiexp_batch(instances)
-            set_jobs(2)
-            try:
-                pooled = G1Element.multiexp_batch(instances)
-            finally:
-                set_jobs(1)
-                shutdown_pool()
-        assert pooled == in_process
-
 
 class TestEvaluateManyEquivalence:
     def _schedule(self, group, rng):
@@ -135,11 +116,14 @@ class TestEvaluateManyEquivalence:
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_matches_pair_with_loop(self, small_group, rng, backend_name):
+        """The cached schedule must reproduce the full Miller loop."""
+        params = small_group.params
         with use_backend(backend_name):
-            precomp = self._schedule(small_group, rng)
+            left = small_group.random_g(rng).point
+            precomp = PairingPrecomp(left, params)
             rights = [small_group.random_g(rng).point for _ in range(9)]
             many = precomp.pair_with_many(rights)
-            loop = [precomp.pair_with(right) for right in rights]
+            loop = [tate_pairing(left, right, params) for right in rights]
         assert many == loop
 
     def test_empty_and_single(self, small_group, rng):
@@ -160,16 +144,6 @@ class TestEvaluateManyEquivalence:
         many = precomp.pair_with_many(rights)
         assert many == [precomp.pair_with(right) for right in rights]
 
-    def test_pooled_matches_in_process(self, small_group, rng):
-        precomp = self._schedule(small_group, rng)
-        rights = [small_group.random_g(rng).point for _ in range(24)]
-        in_process = precomp.pair_with_many(rights, jobs=1)
-        try:
-            pooled = precomp.pair_with_many(rights, jobs=2)
-        finally:
-            shutdown_pool()
-        assert pooled == in_process
-
     def test_pair_many_handle_matches_and_counts(self, small_group, rng):
         left = small_group.random_g(rng)
         rights = [small_group.random_g(rng) for _ in range(6)]
@@ -189,48 +163,3 @@ class TestEvaluateManyEquivalence:
         with fastops.reference_mode():
             reference = small_group.pairing_precomp(left).pair_many(rights)
         assert fast == reference
-
-
-def _add_hundred(chunk):
-    """Module-level so the pool can pickle it (locals cannot cross)."""
-    return [item + 100 for item in chunk]
-
-
-class TestParallelMap:
-    def test_small_batches_stay_in_process(self):
-        calls = []
-
-        def worker(chunk):
-            calls.append(list(chunk))
-            return [item * 2 for item in chunk]
-
-        assert parallel_map(worker, [1, 2, 3], jobs=4, min_batch=8) == [2, 4, 6]
-        # One call with the whole vector: no pool for a sub-threshold batch.
-        assert calls == [[1, 2, 3]]
-
-    def test_jobs_one_never_pools(self):
-        def worker(chunk):
-            return [os.getpid() for _ in chunk]
-
-        pids = set(parallel_map(worker, list(range(32)), jobs=1))
-        assert pids == {os.getpid()}
-
-    def test_order_preserved_across_chunks(self):
-        items = list(range(23))
-        try:
-            result = parallel_map(_add_hundred, items, jobs=2, min_batch=2)
-        finally:
-            shutdown_pool()
-        assert result == [item + 100 for item in items]
-
-    def test_env_default(self, monkeypatch):
-        from repro import parallel
-
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setattr(parallel, "_jobs", None)
-        assert parallel.get_jobs() == 3
-        # get_jobs caches; a fresh resolution of a malformed value falls
-        # back to 1 (pool disabled) rather than crashing startup.
-        monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        monkeypatch.setattr(parallel, "_jobs", None)
-        assert parallel.get_jobs() == 1

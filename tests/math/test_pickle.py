@@ -1,13 +1,8 @@
-"""Pickle round-trips for field and curve values across backends.
+"""Backend-independent plain-int form of normalised curve coordinates.
 
-The :mod:`repro.parallel` process pool ships group data to worker
-processes, so every value that can cross that boundary needs a stable
-pickled form: ``Fq``/``Fq2`` (frozen+slots dataclasses -- no default
-pickle support before Python 3.11) and affine :class:`Point`.  The
-recipes must also be *backend-independent*: a value produced under the
-gmpy2 backend carries mpz coordinates, which must unlift to canonical
-``int`` before pickling so a python-backend receiver reconstructs the
-identical value.
+``batch_to_affine`` must hand back canonical ``int`` coordinates under
+every backend, never backend-native values, so anything serialised from
+them (pickled, hashed, cached) is identical whichever backend produced it.
 """
 
 import pickle
@@ -15,72 +10,17 @@ import random
 
 import pytest
 
-from repro.groups.curve import Point, batch_to_affine
+from repro.groups.curve import batch_to_affine
 from repro.math.backend import available_backends, use_backend
-from repro.math.fields import Fq, Fq2
 
 BACKENDS = available_backends()
-
-Q = 2**31 - 1  # any prime-ish modulus works: pickling never reduces
-
-
-def roundtrip(value):
-    return pickle.loads(pickle.dumps(value))
-
-
-class TestFieldPickle:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_fq_roundtrip(self, backend_name):
-        with use_backend(backend_name):
-            value = Fq(123456789, Q) * Fq(987654321, Q)
-            copy = roundtrip(value)
-        assert copy == value
-        assert type(copy.value) is int  # canonical, not backend-native
-        assert type(copy.q) is int
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_fq2_roundtrip(self, backend_name):
-        with use_backend(backend_name):
-            value = Fq2(12345, 67890, Q) * Fq2(222, 333, Q)
-            copy = roundtrip(value)
-        assert copy == value
-        assert type(copy.a) is int and type(copy.b) is int
-
-    def test_cross_backend_wire_form_identical(self):
-        """The pickled bytes must not depend on the producing backend:
-        a pool parent and worker may disagree only in performance."""
-        blobs = {}
-        for backend_name in BACKENDS:
-            with use_backend(backend_name):
-                value = Fq(98765, Q) ** 12345
-                blobs[backend_name] = pickle.dumps(
-                    (value, Fq2(int(value.value), 7, Q))
-                )
-        reference = blobs.pop("python")
-        for backend_name, blob in blobs.items():
-            assert blob == reference, backend_name
 
 
 class TestPointPickle:
     @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_affine_point_roundtrip(self, small_group, backend_name):
-        rng = random.Random(7)
-        with use_backend(backend_name):
-            point = small_group.random_g(rng).point
-            copy = roundtrip(point)
-        assert copy == point
-        assert type(copy.x) is int and type(copy.y) is int
-
-    def test_infinity_roundtrip(self):
-        infinity = Point(0, 0, True)
-        copy = roundtrip(infinity)
-        assert copy.is_infinity()
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_raw_jacobian_coordinates_unlift_to_int(self, small_group, backend_name):
-        """The pool workers exchange raw Jacobian triples as plain int
-        tuples; normalising under any backend must yield coordinates
-        whose ``int()`` coercion pickles identically."""
+        """Normalising raw Jacobian triples under any backend yields
+        coordinates whose ``int()`` coercion pickles identically."""
         rng = random.Random(11)
         points = [small_group.random_g(rng).point for _ in range(5)]
         q = small_group.q

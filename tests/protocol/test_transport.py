@@ -2,16 +2,31 @@
 payload isolation (everything crosses as bytes), transcript recording."""
 
 import random
+import socket
 import threading
 
 import pytest
 
 from repro.core.dlr import DLR
 from repro.core.params import DLRParams
-from repro.errors import FaultInjected, PeerDisconnected, ProtocolError, TransportTimeout
+from repro.errors import (
+    FaultInjected,
+    PeerDisconnected,
+    ProtocolError,
+    TransportTimeout,
+    WireFormatError,
+)
 from repro.protocol.channel import Channel
 from repro.protocol.device import Device
-from repro.protocol.transport import InMemoryTransport, SocketTransport
+from repro.protocol.transport import (
+    MAX_HEADER_BYTES,
+    MAX_PAYLOAD_BYTES,
+    RECV_CHUNK_BYTES,
+    InMemoryTransport,
+    SocketTransport,
+    read_exact,
+    recv_frame,
+)
 from repro.utils.bits import BitString
 
 
@@ -249,3 +264,55 @@ class TestProtocolOverSockets:
         in_memory = one_run(Channel())
         over_socket = one_run(SocketTransport(timeout=10.0))
         assert in_memory == over_socket
+
+
+class TestFrameBounds:
+    """Declared lengths are checked before any body byte is read, and no
+    single ``recv`` asks for more than :data:`RECV_CHUNK_BYTES`."""
+
+    def _declared(self, raw: bytes):
+        reader, writer = socket.socketpair()
+        try:
+            writer.sendall(raw)  # the declaration only: no body follows
+            reader.settimeout(5.0)
+            return recv_frame(reader, "test", timeout=5.0)
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_oversized_header_rejected_at_once(self):
+        with pytest.raises(WireFormatError, match="header"):
+            self._declared((MAX_HEADER_BYTES + 1).to_bytes(4, "big"))
+
+    def test_oversized_payload_rejected_at_once(self):
+        header = b"{}"
+        raw = (
+            len(header).to_bytes(4, "big")
+            + header
+            + (MAX_PAYLOAD_BYTES + 1).to_bytes(8, "big")
+        )
+        with pytest.raises(WireFormatError, match="payload"):
+            self._declared(raw)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"[" * 100_000, b'{"a": ' + b"1" * 5000 + b"}", b"\xff\xfe"],
+        ids=["deep-nesting", "long-integer", "bad-utf8"],
+    )
+    def test_undecodable_header_is_wire_format_error(self, header):
+        with pytest.raises(WireFormatError, match="undecodable"):
+            self._declared(len(header).to_bytes(4, "big") + header)
+
+    def test_read_exact_receives_in_bounded_chunks(self):
+        class Endpoint:
+            def __init__(self):
+                self.asked = []
+
+            def recv(self, n):
+                self.asked.append(n)
+                return bytes(min(n, 1000))
+
+        endpoint = Endpoint()
+        total = 3 * RECV_CHUNK_BYTES
+        assert len(read_exact(endpoint, total, "test")) == total
+        assert max(endpoint.asked) == RECV_CHUNK_BYTES

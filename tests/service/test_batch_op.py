@@ -79,6 +79,7 @@ class TestDecryptBatchOp:
             ("decrypt", "public_key"),
             ("decrypt_batch", "int_list"),
             ("decrypt", "corrupt_point"),
+            ("decrypt_batch", "oversized"),
         ],
     )
     def test_wrong_kind_payload_is_bad_request_and_spends_nothing(
@@ -97,6 +98,9 @@ class TestDecryptBatchOp:
             text = persist.dumps("public_key", public_key)
         elif kind == "int_list":
             text = json.dumps({"kind": "ciphertext_batch", "data": [1, 2]})
+        elif kind == "oversized":
+            _, (ciphertext,) = _encrypt_many(client, "acme", "k", 1)
+            text = persist.dumps("ciphertext_batch", [ciphertext] * 129)
         else:
             _, (ciphertext,) = _encrypt_many(client, "acme", "k", 1)
             envelope = json.loads(persist.dumps("ciphertext", ciphertext))

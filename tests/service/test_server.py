@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import logging
+import os
 import random
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import AdmissionRejected, ServiceError
-from repro.protocol.transport import encode_frame
+from repro.protocol.transport import MAX_PAYLOAD_BYTES, encode_frame, recv_frame
 from repro.service import KeyService, ServiceClient, SessionKey, SessionRegistry
 
 
@@ -110,6 +116,57 @@ class TestSilentClient:
                 torn.close()
 
 
+class TestOversizedFrame:
+    def test_oversized_declaration_is_bad_request(self, service, client):
+        """A frame declaring a payload over the cap is answered
+        ``bad-request`` before any payload byte is read."""
+        header = b'{"op": "ping"}'
+        with socket.create_connection(service.address, timeout=5.0) as raw:
+            raw.sendall(
+                len(header).to_bytes(4, "big")
+                + header
+                + (MAX_PAYLOAD_BYTES + 1).to_bytes(8, "big")
+            )
+            response, _ = recv_frame(raw, "test", timeout=5.0)
+        assert response["ok"] is False
+        assert response["code"] == "bad-request"
+        assert client.ping()
+
+
+class TestWorkerCrash:
+    def test_escaped_exception_is_counted_and_logged(
+        self, service, monkeypatch, caplog
+    ):
+        import repro.service.server as server_module
+
+        real_recv_frame = server_module.recv_frame
+        calls = []
+
+        def crash_once(*args, **kwargs):
+            if not calls:
+                calls.append(1)
+                raise RuntimeError("injected worker crash")
+            return real_recv_frame(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "recv_frame", crash_once)
+        caplog.set_level(logging.ERROR, logger="repro.service.server")
+        with socket.create_connection(service.address, timeout=5.0) as doomed:
+            # The crash closes the connection, as any worker exit does.
+            assert doomed.recv(1) == b""
+        assert (
+            service.metrics.counter_value(
+                "service.worker_crashes", exc="RuntimeError"
+            )
+            == 1
+        )
+        assert any(
+            record.exc_info and record.exc_info[0] is RuntimeError
+            for record in caplog.records
+        )
+        with ServiceClient(service.address, timeout=5.0) as fresh:
+            assert fresh.ping()
+
+
 class TestStats:
     def test_stats_roundtrip(self, client):
         client.open_key("acme", "k", seed=1)
@@ -131,3 +188,25 @@ class TestStats:
         # The info-metric spelling is in the shared registry too.
         gauge = f"backend.active{{backend={active_backend().name}}}"
         assert stats["metrics"]["gauges"][gauge] == 1
+
+
+class TestProcessFootprint:
+    def test_server_does_not_load_process_machinery(self):
+        """Every period runs in-process, so neither the CLI nor the
+        server may pull in ``multiprocessing`` (RSS and startup time)."""
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, repro.cli, repro.service.server; "
+            "print('multiprocessing' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
