@@ -214,8 +214,7 @@ def smoke_report(group_bits: int = 32, lam: int = 32, seed: int = 7) -> dict:
         report["schemes"][name] = {
             "bits_on_wire": channel.bits_on_wire(),
             "bits_by_label": channel.bits_by_label(0),
-            # as_dict() (not dataclasses.asdict) keeps the report to pure
-            # counts: the counter's backend tag is metadata, not an op.
+            # as_dict() keeps the report to plain {name: count} dicts.
             "ops_party1": stats.ops_for_party(1).as_dict(),
             "ops_party2": stats.ops_for_party(2).as_dict(),
             "snapshot_bits": {

@@ -28,17 +28,6 @@ scale-matched: a full-size baseline embeds a ``"smoke"`` sub-report, and
 run's ``(group_bits, lam)``.  CI runs smoke mode against the checked-in
 ``results/BENCH_speed.json``.
 
-Every report records the field-arithmetic backend it ran on
-(``"backend"``).  ``--backends python,gmpy2`` runs the whole suite once
-per listed backend *in one process* (unavailable backends are skipped
-with a note) and attaches the extra runs as ``"backend_columns"`` --
-same machine, same inputs, so the columns are directly comparable.
-``--require-accel BENCH[:RATIO]`` then gates on that comparison: the
-last non-python column must beat the python column's fast-path
-wall-clock on ``BENCH`` by at least ``RATIO`` (default 1.5).  This is
-how CI's gmpy2 leg enforces the acceleration floor without ever
-comparing wall-clock across machines.
-
 See docs/performance.md for how to read the output.
 """
 
@@ -386,7 +375,6 @@ def speed_report(
     from repro.core.dlr import DLR
     from repro.core.params import DLRParams
     from repro.groups import preset_group
-    from repro.math.backend import active_backend
 
     group = preset_group(group_bits)
     params = DLRParams(group=group, lam=lam)
@@ -397,7 +385,6 @@ def speed_report(
     import os
 
     report = {
-        "backend": active_backend().name,
         "group_bits": group_bits,
         "lam": lam,
         "ell": params.ell,
@@ -464,50 +451,6 @@ def check_regressions(report: dict, baseline: dict) -> list[str]:
     return failures
 
 
-def _lookup_entry(column: dict, bench: str) -> dict | None:
-    if "." in bench:
-        section, name = bench.split(".", 1)
-        return column.get(section, {}).get(name)
-    return column.get("schemes", {}).get(bench) or column.get("kernels", {}).get(bench)
-
-
-def check_acceleration(report: dict, bench: str, ratio: float) -> list[str]:
-    """Same-machine acceleration gate over the report's backend columns.
-
-    Requires a ``python`` column and at least one other; the *last*
-    non-python column's fast-path wall-clock on ``bench`` must be at
-    least ``ratio`` times faster than python's.  Wall-clock comparison
-    is sound here -- unlike ``--check`` -- because both columns were
-    measured in the same process on identical inputs.
-    """
-    columns = {report.get("backend", "python"): report}
-    columns.update(report.get("backend_columns", {}))
-    python = columns.get("python")
-    accelerated = [(n, c) for n, c in columns.items() if n != "python"]
-    if python is None or not accelerated:
-        return [
-            "--require-accel needs a python column plus an accelerated one "
-            f"(run with --backends; columns present: {sorted(columns)})"
-        ]
-    accel_name, accel = accelerated[-1]
-    base_entry = _lookup_entry(python, bench)
-    accel_entry = _lookup_entry(accel, bench)
-    if base_entry is None or accel_entry is None:
-        return [f"--require-accel: unknown benchmark {bench!r}"]
-    achieved = (
-        base_entry["fast_ms"] / accel_entry["fast_ms"]
-        if accel_entry["fast_ms"] > 0
-        else float("inf")
-    )
-    if achieved < ratio:
-        return [
-            f"{bench}: backend {accel_name!r} is {achieved:.2f}x vs python "
-            f"({accel_entry['fast_ms']}ms vs {base_entry['fast_ms']}ms), "
-            f"required >= {ratio:.2f}x"
-        ]
-    return []
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -525,52 +468,13 @@ def main(argv=None) -> int:
         metavar="BASELINE",
         help="fail if any speedup regressed below 75%% of this baseline JSON",
     )
-    parser.add_argument(
-        "--backends",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated field backends to run as same-machine columns "
-        "(e.g. python,gmpy2); unavailable ones are skipped with a note",
-    )
-    parser.add_argument(
-        "--require-accel",
-        default=None,
-        metavar="BENCH[:RATIO]",
-        help="fail unless the last non-python --backends column beats the "
-        "python column by RATIO (default 1.5) on BENCH (e.g. p2_full_decrypt:1.5)",
-    )
     args = parser.parse_args(argv)
 
     group_bits = args.group_bits or (32 if args.smoke else 64)
     lam = args.lam or (32 if args.smoke else 128)
     repeats = args.repeats or (3 if args.smoke else 5)
 
-    if args.backends:
-        from repro.math.backend import backend_available, use_backend
-
-        columns: dict[str, dict] = {}
-        for name in (n.strip() for n in args.backends.split(",")):
-            if not name:
-                continue
-            if not backend_available(name):
-                sys.stderr.write(
-                    f"backend {name!r} not available on this machine; column skipped\n"
-                )
-                continue
-            with use_backend(name):
-                columns[name] = speed_report(
-                    group_bits=group_bits, lam=lam, repeats=repeats
-                )
-        if not columns:
-            sys.stderr.write("no requested backend is available\n")
-            return 2
-        first = next(iter(columns))
-        report = columns[first]
-        extra = {name: column for name, column in columns.items() if name != first}
-        if extra:
-            report["backend_columns"] = extra
-    else:
-        report = speed_report(group_bits=group_bits, lam=lam, repeats=repeats)
+    report = speed_report(group_bits=group_bits, lam=lam, repeats=repeats)
     if not args.smoke and (group_bits, lam) != (32, 32):
         # Full-size baselines carry a smoke-scale sub-report so CI's
         # smoke runs have scale-matched numbers to gate against.
@@ -594,21 +498,6 @@ def main(argv=None) -> int:
         sys.stderr.write(
             f"speed regression gate passed ({len(_speedups(report))} entries)\n"
         )
-
-    if args.require_accel:
-        bench, _, ratio_text = args.require_accel.partition(":")
-        try:
-            ratio = float(ratio_text) if ratio_text else 1.5
-        except ValueError:
-            sys.stderr.write(f"--require-accel: bad ratio {ratio_text!r}\n")
-            return 2
-        failures = check_acceleration(report, bench, ratio)
-        if failures:
-            sys.stderr.write("acceleration gate FAILED:\n")
-            for failure in failures:
-                sys.stderr.write(f"  {failure}\n")
-            return 1
-        sys.stderr.write(f"acceleration gate passed ({bench} >= {ratio:.2f}x)\n")
 
     return 0
 

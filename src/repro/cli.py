@@ -271,8 +271,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_requests=args.max_requests,
         backlog=args.backlog,
     )
-    from repro.math.backend import active_backend
-
     tracer = None
     previous_tracer = None
     if args.trace is not None:
@@ -283,7 +281,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service.start()
     host, port = service.address
     print(f"serving on {host}:{port} ({args.workers} workers, "
-          f"capacity {args.capacity}, backend {active_backend().name})", flush=True)
+          f"capacity {args.capacity})", flush=True)
     if args.announce is not None:
         persist.atomic_write_text(args.announce, f"{host} {port}\n")
     prom = None
@@ -420,13 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dlr",
         description="Distributed leakage-resilient PKE (PODC 2012 reproduction)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "gmpy2"),
-        default=None,
-        help="field-arithmetic backend (default: $REPRO_BACKEND or auto-detect; "
-        "see docs/performance.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -574,15 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.backend is not None:
-        from repro.errors import ParameterError
-        from repro.math.backend import set_backend
-
-        try:
-            set_backend(args.backend)
-        except ParameterError as exc:
-            print(f"--backend {args.backend}: {exc}", file=sys.stderr)
-            return 2
     return args.fn(args)
 
 

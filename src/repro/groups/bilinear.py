@@ -15,7 +15,7 @@ footnote 3 of the paper compares across schemes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, TypeVar
 
 from repro.errors import GroupError
@@ -24,7 +24,6 @@ from repro.groups.curve import Point
 from repro.groups.pairing import PairingPrecomp, tate_pairing
 from repro.groups.pairing_params import PairingParams
 from repro.groups.sampling import random_gt_value, random_subgroup_point
-from repro.math.backend import active_backend
 from repro.math.fields import Fq2
 from repro.utils.bits import BitString
 from repro.utils.serialization import int_width
@@ -48,34 +47,6 @@ DEFAULT_COST_WEIGHTS: dict[str, int] = {
     "gt_samples": 0,
 }
 
-#: Weights for the gmpy2 backend.  GMP shrinks every bignum product, but
-#: not uniformly: the per-operation *Python* overhead (attribute lookups,
-#: tuple churn) is untouched, so cheap ops (one group mul) shrink less
-#: than ops dominated by long multiply chains (exponentiations,
-#: pairings), compressing the ratios.  Provisional until the CI gmpy2
-#: leg's ``bench_speed.py`` calibration replaces them (the pure-Python
-#: column stays :data:`DEFAULT_COST_WEIGHTS`).
-GMPY2_COST_WEIGHTS: dict[str, int] = {
-    "g_mul": 1,
-    "g_exp": 24,
-    "g_multiexp": 11,
-    "gt_mul": 1,
-    "gt_exp": 21,
-    "gt_multiexp": 4,
-    "pairings": 58,
-    "pairings_precomp": 20,
-    "g_samples": 0,
-    "gt_samples": 0,
-}
-
-#: ``total_cost()`` weight tables keyed by the counter's backend tag;
-#: unknown tags (e.g. test shim backends) fall back to the default.
-COST_WEIGHTS_BY_BACKEND: dict[str, dict[str, int]] = {
-    "python": DEFAULT_COST_WEIGHTS,
-    "gmpy2": GMPY2_COST_WEIGHTS,
-}
-
-
 @dataclass
 class OperationCounter:
     """Counts of expensive group operations since the last reset.
@@ -88,12 +59,6 @@ class OperationCounter:
     counts pairings evaluated against a cached Miller schedule
     (:meth:`BilinearGroup.pairing_precomp`), which cost roughly a third
     of a full pairing.
-
-    ``backend`` tags the counts with the field backend that was active
-    when the counter was created; it is *not* a counter (``reset`` keeps
-    it, ``as_dict`` excludes it) and selects the default
-    :meth:`total_cost` weight table via
-    :data:`COST_WEIGHTS_BY_BACKEND`.
     """
 
     g_mul: int = 0
@@ -106,7 +71,6 @@ class OperationCounter:
     pairings_precomp: int = 0
     g_samples: int = 0
     gt_samples: int = 0
-    backend: str = field(default_factory=lambda: active_backend().name)
 
     def reset(self) -> None:
         for name in _COUNTER_FIELDS:
@@ -114,8 +78,7 @@ class OperationCounter:
 
     def as_dict(self) -> dict[str, int]:
         """All counters as a plain ``{name: count}`` dict (stable field
-        order, backend tag excluded), the shape telemetry snapshots and
-        span attributes use."""
+        order), the shape telemetry snapshots and span attributes use."""
         return {name: getattr(self, name) for name in _COUNTER_FIELDS}
 
     def nonzero(self) -> dict[str, int]:
@@ -124,16 +87,15 @@ class OperationCounter:
         return {name: count for name, count in self.as_dict().items() if count}
 
     def snapshot(self) -> "OperationCounter":
-        return OperationCounter(backend=self.backend, **self.as_dict())
+        return OperationCounter(**self.as_dict())
 
     def diff(self, earlier: "OperationCounter") -> "OperationCounter":
         """Return the operations performed since ``earlier`` was snapshot."""
         return OperationCounter(
-            backend=self.backend,
             **{
                 name: getattr(self, name) - getattr(earlier, name)
                 for name in _COUNTER_FIELDS
-            },
+            }
         )
 
     @property
@@ -143,13 +105,11 @@ class OperationCounter:
     def total_cost(self, weights: dict[str, int] | None = None) -> int:
         """A single-number cost in group-multiplication units.
 
-        ``weights`` defaults to the table calibrated for this counter's
-        backend tag (:data:`COST_WEIGHTS_BY_BACKEND`, falling back to
-        :data:`DEFAULT_COST_WEIGHTS`); pass a partial dict to override
-        individual weights, e.g. a fresh calibration from
-        ``benchmarks/bench_speed.py``.
+        ``weights`` defaults to :data:`DEFAULT_COST_WEIGHTS`; pass a
+        partial dict to override individual weights, e.g. a fresh
+        calibration from ``benchmarks/bench_speed.py``.
         """
-        effective = COST_WEIGHTS_BY_BACKEND.get(self.backend, DEFAULT_COST_WEIGHTS)
+        effective = DEFAULT_COST_WEIGHTS
         if weights is not None:
             effective = {**effective, **weights}
         return sum(
@@ -158,9 +118,7 @@ class OperationCounter:
         )
 
 
-_COUNTER_FIELDS: tuple[str, ...] = tuple(
-    name for name in OperationCounter.__dataclass_fields__ if name != "backend"
-)
+_COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(OperationCounter))
 
 
 _ElementT = TypeVar("_ElementT")

@@ -10,13 +10,9 @@ operation; scalar multiplication is double-and-add.  This is deliberately
 simple, constant-factor-honest Python -- adequate for the parameter sizes
 the reproduction targets and easy to audit against the textbook formulas.
 
-The Jacobian kernels are written against plain integer operators, so
-they run unchanged on whatever type the active
-:mod:`field backend <repro.math.backend>` computes with: each kernel
-entry point lifts the modulus and coordinates once
-(:meth:`~repro.math.backend.FieldBackend.lift`), and every value that
-escapes into a :class:`Point` is unlifted back to a canonical
-:class:`int`.
+The Jacobian kernels below work on raw ``(X, Y, Z)`` integer triples and
+only build a :class:`Point` (canonical :class:`int` coordinates) when a
+result leaves the kernel.
 """
 
 from __future__ import annotations
@@ -24,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import GroupError
-from repro.math.backend import active_backend
-from repro.math.modular import inv_mod
+from repro.math.modular import batch_inv, inv_mod
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,9 +162,7 @@ def _jacobian_add_affine(p: _JacPoint, ax: int, ay: int, q: int) -> _JacPoint:
 
 
 def _jacobian_scalar_mul(point: Point, scalar: int, q: int) -> _JacPoint:
-    lift = active_backend().lift
-    q = lift(q)
-    ax, ay = lift(point.x) % q, lift(point.y) % q
+    ax, ay = point.x % q, point.y % q
     result: _JacPoint = (1, 1, 0)
     for bit in bin(scalar)[2:]:
         result = _jacobian_double(result, q)
@@ -211,11 +204,9 @@ def _jacobian_to_affine(p: _JacPoint, q: int) -> Point:
     x, y, z = p
     if z == 0:
         return INFINITY
-    backend = active_backend()
-    z_inv = backend.inv_mod(z, q)
+    z_inv = inv_mod(z, q)
     z_inv2 = z_inv * z_inv % q
-    unlift = backend.unlift
-    return Point(unlift(x * z_inv2 % q), unlift(y * z_inv2 * z_inv % q), False)
+    return Point(x * z_inv2 % q, y * z_inv2 * z_inv % q, False)
 
 
 def batch_to_affine(points: list[_JacPoint], q: int) -> list[Point]:
@@ -224,17 +215,14 @@ def batch_to_affine(points: list[_JacPoint], q: int) -> list[Point]:
 
     Infinity entries (``Z = 0``) pass through as :data:`INFINITY`.
     """
-    backend = active_backend()
-    unlift = backend.unlift
-    q = backend.lift(q)
     # skip_zero backfills 0 for every Z = 0 entry, so infinity points can
     # ride in the mixed vector without a pre-filtering pass (and without
     # the ParameterError the strict contract would raise).
-    inverses = backend.batch_inv([p[2] for p in points], q, skip_zero=True)
+    inverses = batch_inv([p[2] for p in points], q, skip_zero=True)
     result: list[Point] = [INFINITY] * len(points)
     for i, ((x, y, z), z_inv) in enumerate(zip(points, inverses)):
         if z_inv == 0:
             continue
         z_inv2 = z_inv * z_inv % q
-        result[i] = Point(unlift(x * z_inv2 % q), unlift(y * z_inv2 * z_inv % q), False)
+        result[i] = Point(x * z_inv2 % q, y * z_inv2 * z_inv % q, False)
     return result

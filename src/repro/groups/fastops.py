@@ -48,7 +48,7 @@ from repro.groups.curve import (
     batch_to_affine,
 )
 from repro.groups.windows import bucket_window, straus_window
-from repro.math.backend import active_backend
+from repro.math.fields import fq2_mul, fq2_square
 
 _RawFq2 = tuple[int, int]
 
@@ -84,7 +84,7 @@ def reference_mode() -> Iterator[None]:
         _enabled = previous
 
 
-# Window widths come from the shared backend-aware cost models in
+# Window widths come from the shared cost models in
 # :mod:`repro.groups.windows` (formerly duplicated inline here and in
 # precompute.FixedBaseExp).
 
@@ -112,10 +112,8 @@ def multiexp_points(
 
 
 def _scalar_mul_point(point: Point, exponent: int, q: int) -> Point:
-    lift = active_backend().lift
-    q = lift(q)
     jac = (1, 1, 0)
-    ax, ay = lift(point.x) % q, lift(point.y) % q
+    ax, ay = point.x % q, point.y % q
     for bit in bin(exponent)[2:]:
         jac = _jacobian_double(jac, q)
         if bit == "1":
@@ -126,47 +124,20 @@ def _scalar_mul_point(point: Point, exponent: int, q: int) -> Point:
 def _straus_points(points: list[Point], exponents: list[int], q: int) -> Point:
     bits = max(e.bit_length() for e in exponents)
     w = straus_window(len(points), bits)
-    lift = active_backend().lift
-    q = lift(q)
-    mask = (1 << w) - 1
     # Per-base tables of d*P for d in [1, 2^w), built in Jacobian form
     # and normalised to affine in ONE batched inversion.
-    jac_entries = []
-    for point in points:
-        ax, ay = lift(point.x) % q, lift(point.y) % q
-        entry = (ax, ay, 1)
-        jac_entries.append(entry)
-        for _ in range(2, 1 << w):
-            entry = _jacobian_add_affine(entry, ax, ay, q)
-            jac_entries.append(entry)
-    affine = batch_to_affine(jac_entries, q)
+    affine = batch_to_affine(_straus_tables_points(points, w, q), q)
     row_len = (1 << w) - 1
     tables = [affine[i * row_len : (i + 1) * row_len] for i in range(len(points))]
-
-    digits = -(-bits // w)
-    acc = (1, 1, 0)
-    for position in range(digits - 1, -1, -1):
-        if acc[2] != 0:
-            for _ in range(w):
-                acc = _jacobian_double(acc, q)
-        shift = position * w
-        for table, exponent in zip(tables, exponents):
-            digit = (exponent >> shift) & mask
-            if digit:
-                entry = table[digit - 1]
-                if not entry.is_infinity():
-                    acc = _jacobian_add_affine(acc, entry.x, entry.y, q)
-    return _jacobian_to_affine(acc, q)
+    return _straus_main_loop(tables, exponents, w, -(-bits // w), q)
 
 
 def _pippenger_points(points: list[Point], exponents: list[int], q: int) -> Point:
     bits = max(e.bit_length() for e in exponents)
     w = bucket_window(len(points), bits)
-    lift = active_backend().lift
-    q = lift(q)
     mask = (1 << w) - 1
     digits = -(-bits // w)
-    affine = [(lift(p.x) % q, lift(p.y) % q) for p in points]
+    affine = [(p.x % q, p.y % q) for p in points]
 
     acc = (1, 1, 0)
     for position in range(digits - 1, -1, -1):
@@ -197,13 +168,12 @@ def _pippenger_points(points: list[Point], exponents: list[int], q: int) -> Poin
     return _jacobian_to_affine(acc, q)
 
 
-def _straus_tables_points(points: list[Point], w: int, q) -> list[list]:
+def _straus_tables_points(points: list[Point], w: int, q: int) -> list[list]:
     """The per-base Straus table entries of one instance, in Jacobian
     form (normalisation is the caller's single batched inversion)."""
-    lift = active_backend().lift
     jac_entries = []
     for point in points:
-        ax, ay = lift(point.x) % q, lift(point.y) % q
+        ax, ay = point.x % q, point.y % q
         entry = (ax, ay, 1)
         jac_entries.append(entry)
         for _ in range(2, 1 << w):
@@ -213,7 +183,7 @@ def _straus_tables_points(points: list[Point], w: int, q) -> list[list]:
 
 
 def _straus_main_loop(
-    tables: list[list[Point]], exponents: list[int], w: int, digits: int, q
+    tables: list[list[Point]], exponents: list[int], w: int, digits: int, q: int
 ) -> Point:
     """The shared-squaring digit loop over already-normalised tables."""
     mask = (1 << w) - 1
@@ -268,16 +238,15 @@ def batch_multiexp_points(
         e.bit_length() for idx in straus_idx for e in instances[idx][1]
     )
     w = straus_window(max(len(instances[idx][0]) for idx in straus_idx), bits)
-    lifted_q = active_backend().lift(q)
     row_len = (1 << w) - 1
 
     jac_entries: list = []
     spans: list[tuple[int, int, int]] = []
     for idx in straus_idx:
         start = len(jac_entries)
-        jac_entries.extend(_straus_tables_points(instances[idx][0], w, lifted_q))
+        jac_entries.extend(_straus_tables_points(instances[idx][0], w, q))
         spans.append((idx, start, len(instances[idx][0])))
-    affine = batch_to_affine(jac_entries, lifted_q)
+    affine = batch_to_affine(jac_entries, q)
 
     digits = -(-bits // w)
     for idx, start, count in spans:
@@ -285,9 +254,7 @@ def batch_multiexp_points(
             affine[start + i * row_len : start + (i + 1) * row_len]
             for i in range(count)
         ]
-        results[idx] = _straus_main_loop(
-            tables, instances[idx][1], w, digits, lifted_q
-        )
+        results[idx] = _straus_main_loop(tables, instances[idx][1], w, digits, q)
     return results  # type: ignore[return-value]
 
 
@@ -313,61 +280,34 @@ def multiexp_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawFq2
 def _straus_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawFq2:
     bits = max(e.bit_length() for e in exponents)
     w = straus_window(len(values), bits)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-    if not backend.native_ints:
-        lift = backend.lift
-        q = lift(q)
-        values = [(lift(a), lift(b)) for a, b in values]
-    mask = (1 << w) - 1
-    tables = []
-    for value in values:
-        row = [value]
-        for _ in range(2, 1 << w):
-            row.append(fq2_mul(row[-1], value, q))
-        tables.append(row)
-
-    digits = -(-bits // w)
-    acc: _RawFq2 = (1, 0)
-    for position in range(digits - 1, -1, -1):
-        if acc != (1, 0):
-            for _ in range(w):
-                acc = fq2_square(acc, q)
-        shift = position * w
-        for row, exponent in zip(tables, exponents):
-            digit = (exponent >> shift) & mask
-            if digit:
-                acc = fq2_mul(acc, row[digit - 1], q)
-    return (backend.unlift(acc[0]), backend.unlift(acc[1]))
+    return _straus_fq2_shared(values, exponents, w, -(-bits // w), q)
 
 
 def _straus_fq2_shared(
-    values: list[_RawFq2], exponents: list[int], w: int, digits: int, q
+    values: list[_RawFq2], exponents: list[int], w: int, digits: int, q: int
 ) -> _RawFq2:
     """Straus over ``F_{q^2}`` with a caller-chosen window and digit
-    count (the shared decision of :func:`batch_multiexp_fq2`).  Inputs
-    must already be lifted to the active backend's representation."""
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
+    count (the shared decision of :func:`batch_multiexp_fq2`)."""
+    mul, square = fq2_mul, fq2_square
     mask = (1 << w) - 1
     tables = []
     for value in values:
         row = [value]
         for _ in range(2, 1 << w):
-            row.append(fq2_mul(row[-1], value, q))
+            row.append(mul(row[-1], value, q))
         tables.append(row)
 
     acc: _RawFq2 = (1, 0)
     for position in range(digits - 1, -1, -1):
         if acc != (1, 0):
             for _ in range(w):
-                acc = fq2_square(acc, q)
+                acc = square(acc, q)
         shift = position * w
         for row, exponent in zip(tables, exponents):
             digit = (exponent >> shift) & mask
             if digit:
-                acc = fq2_mul(acc, row[digit - 1], q)
-    return (backend.unlift(acc[0]), backend.unlift(acc[1]))
+                acc = mul(acc, row[digit - 1], q)
+    return acc
 
 
 def batch_multiexp_fq2(
@@ -376,10 +316,9 @@ def batch_multiexp_fq2(
     """Evaluate a vector of ``F_{q^2}`` multiexp instances, amortised.
 
     The ``F_{q^2}`` Straus path has no batched inversion to share, so
-    the amortisation here is the window/cost-model decision (and the
-    single backend lift of the modulus): one :func:`straus_window` call
-    sized by the widest exponent and largest term count serves every
-    Straus-sized instance.  Pippenger-sized and empty instances dispatch
+    the amortisation here is the window/cost-model decision: one
+    :func:`straus_window` call sized by the widest exponent and largest
+    term count serves every Straus-sized instance.  Pippenger-sized and empty instances dispatch
     individually.  Results equal mapping :func:`multiexp_fq2`.
     """
     results: list[_RawFq2 | None] = [None] * len(instances)
@@ -401,29 +340,16 @@ def batch_multiexp_fq2(
     )
     w = straus_window(max(len(instances[idx][0]) for idx in straus_idx), bits)
     digits = -(-bits // w)
-    backend = active_backend()
-    lifted_q = q
     for idx in straus_idx:
-        values = instances[idx][0]
-        if not backend.native_ints:
-            lift = backend.lift
-            lifted_q = lift(q)
-            values = [(lift(a), lift(b)) for a, b in values]
-        results[idx] = _straus_fq2_shared(
-            values, instances[idx][1], w, digits, lifted_q
-        )
+        values, exponents = instances[idx]
+        results[idx] = _straus_fq2_shared(values, exponents, w, digits, q)
     return results  # type: ignore[return-value]
 
 
 def _pippenger_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawFq2:
     bits = max(e.bit_length() for e in exponents)
     w = bucket_window(len(values), bits)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-    if not backend.native_ints:
-        lift = backend.lift
-        q = lift(q)
-        values = [(lift(a), lift(b)) for a, b in values]
+    mul, square = fq2_mul, fq2_square
     mask = (1 << w) - 1
     digits = -(-bits // w)
 
@@ -431,21 +357,21 @@ def _pippenger_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawF
     for position in range(digits - 1, -1, -1):
         if acc != (1, 0):
             for _ in range(w):
-                acc = fq2_square(acc, q)
+                acc = square(acc, q)
         shift = position * w
         buckets: list[_RawFq2 | None] = [None] * (1 << w)
         for value, exponent in zip(values, exponents):
             digit = (exponent >> shift) & mask
             if digit:
                 current = buckets[digit]
-                buckets[digit] = value if current is None else fq2_mul(current, value, q)
+                buckets[digit] = value if current is None else mul(current, value, q)
         running: _RawFq2 = (1, 0)
         window_sum: _RawFq2 = (1, 0)
         for digit in range(mask, 0, -1):
             bucket = buckets[digit]
             if bucket is not None:
-                running = fq2_mul(running, bucket, q)
+                running = mul(running, bucket, q)
             if running != (1, 0):
-                window_sum = fq2_mul(window_sum, running, q)
-        acc = fq2_mul(acc, window_sum, q)
-    return (backend.unlift(acc[0]), backend.unlift(acc[1]))
+                window_sum = mul(window_sum, running, q)
+        acc = mul(acc, window_sum, q)
+    return acc

@@ -49,18 +49,14 @@ from repro.groups.curve import (
     batch_to_affine,
 )
 from repro.groups.pairing_params import PairingParams
-from repro.math.backend import active_backend
-from repro.math.fields import Fq2
-from repro.math.modular import batch_inv
+from repro.math.fields import Fq2, fq2_inverse, fq2_mul, fq2_pow, fq2_square
+from repro.math.modular import batch_inv, inv_mod
 
 _RawFq2 = tuple[int, int]
 
 # The raw F_{q^2} kernels (lazy-reduction Karatsuba product, square,
-# ladder pow, unitary-shortcut inverse) live on the field backend
-# (:meth:`~repro.math.backend.FieldBackend.fq2_mul` and friends); each
-# Miller-loop entry point lifts its operands once and binds the backend
-# methods to locals, then unlifts at the return boundary so raw pairs
-# escaping to callers are always canonical ints.
+# ladder pow, unitary-shortcut inverse) live in :mod:`repro.math.fields`;
+# the Miller loops below bind them to locals for the hot loop.
 
 
 def miller_loop_affine(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq2:
@@ -72,17 +68,15 @@ def miller_loop_affine(p_point: Point, q_point: Point, params: PairingParams) ->
     order = params.p
     if p_point.is_infinity() or q_point.is_infinity():
         return (1, 0)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-    inv_mod, lift = backend.inv_mod, backend.lift
-    q = lift(params.q)
+    mul, square = fq2_mul, fq2_square
+    q = params.q
     # phi(Q) = (-x_Q, i * y_Q): affine x in F_q, purely imaginary y.
-    phi_x = lift(-q_point.x) % q
-    phi_y = lift(q_point.y) % q
+    phi_x = -q_point.x % q
+    phi_y = q_point.y % q
     neg_phi_y = (-phi_y) % q
 
     f: _RawFq2 = (1, 0)
-    tx, ty = lift(p_point.x) % q, lift(p_point.y) % q
+    tx, ty = p_point.x % q, p_point.y % q
     px, py = tx, ty
     t_infinity = False
 
@@ -92,13 +86,13 @@ def miller_loop_affine(p_point: Point, q_point: Point, params: PairingParams) ->
             # Doubling step: tangent line at T evaluated at phi(Q).
             slope = (3 * tx * tx + 1) * inv_mod(2 * ty, q) % q
             line = ((slope * (phi_x - tx) + ty) % q, neg_phi_y)
-            f = fq2_mul(fq2_square(f, q), line, q)
+            f = mul(square(f, q), line, q)
             # T <- 2T
             x3 = (slope * slope - 2 * tx) % q
             ty = (slope * (tx - x3) - ty) % q
             tx = x3
         else:
-            f = fq2_square(f, q)
+            f = square(f, q)
         if bit == "1" and not t_infinity:
             if tx == px and (ty + py) % q == 0:
                 # T = -P: the chord is vertical, lies in F_q, eliminated.
@@ -106,11 +100,11 @@ def miller_loop_affine(p_point: Point, q_point: Point, params: PairingParams) ->
             else:
                 slope = (py - ty) * inv_mod(px - tx, q) % q
                 line = ((slope * (phi_x - tx) + ty) % q, neg_phi_y)
-                f = fq2_mul(f, line, q)
+                f = mul(f, line, q)
                 x3 = (slope * slope - tx - px) % q
                 ty = (slope * (tx - x3) - ty) % q
                 tx = x3
-    return (backend.unlift(f[0]), backend.unlift(f[1]))
+    return f
 
 
 def miller_loop(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq2:
@@ -128,22 +122,20 @@ def miller_loop(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq
     order = params.p
     if p_point.is_infinity() or q_point.is_infinity():
         return (1, 0)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-    lift = backend.lift
-    q = lift(params.q)
-    phi_x = lift(-q_point.x) % q
-    phi_y = lift(q_point.y) % q
+    mul, square = fq2_mul, fq2_square
+    q = params.q
+    phi_x = -q_point.x % q
+    phi_y = q_point.y % q
     neg_phi_y = (-phi_y) % q
 
     f: _RawFq2 = (1, 0)
-    px, py = lift(p_point.x) % q, lift(p_point.y) % q
+    px, py = p_point.x % q, p_point.y % q
     tx_, ty_, tz_ = px, py, 1  # T = P, Jacobian with Z = 1
     t_infinity = False
 
     bits = bin(order)[3:]
     for bit in bits:
-        f = fq2_square(f, q)
+        f = square(f, q)
         if not t_infinity:
             # Tangent line at T, scaled by 2YZ^3 in F_q:
             #   real = (3X^2 + Z^4)(phi_x Z^2 - X) + 2Y^2
@@ -155,7 +147,7 @@ def miller_loop(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq
                 (m * (phi_x * zz - tx_) + 2 * ty_ * ty_) % q,
                 neg_phi_y * scale % q,
             )
-            f = fq2_mul(f, line, q)
+            f = mul(f, line, q)
             tx_, ty_, tz_ = _jacobian_double((tx_, ty_, tz_), q)
         if bit == "1" and not t_infinity:
             zz = tz_ * tz_ % q
@@ -173,9 +165,9 @@ def miller_loop(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq
                     (r * (phi_x * zz - tx_) + ty_ * h) % q,
                     neg_phi_y * zzz * h % q,
                 )
-                f = fq2_mul(f, line, q)
+                f = mul(f, line, q)
                 tx_, ty_, tz_ = _jacobian_add_affine((tx_, ty_, tz_), px, py, q)
-    return (backend.unlift(f[0]), backend.unlift(f[1]))
+    return f
 
 
 class PairingPrecomp:
@@ -205,9 +197,8 @@ class PairingPrecomp:
         self.steps: list[tuple[tuple[int, int] | None, tuple[int, int] | None]] = []
         if self._trivial:
             return
-        lift = active_backend().lift
-        q = lift(params.q)
-        px, py = lift(p_point.x) % q, lift(p_point.y) % q
+        q = params.q
+        px, py = p_point.x % q, p_point.y % q
 
         # Pass 1: walk the schedule in Jacobian form, recording the point
         # *before* each doubling / addition plus the step layout.
@@ -233,11 +224,7 @@ class PairingPrecomp:
                     jac = _jacobian_add_affine(jac, px, py, q)
             layout.append((has_double, has_add))
 
-        # Pass 2 runs on canonical ints: batch_to_affine unlifts its
-        # output, and the cached step coefficients must be plain ints.
-        q = params.q
-        px, py = p_point.x % q, p_point.y % q
-        # One batched normalisation for every step point ...
+        # Pass 2: one batched normalisation for every step point ...
         affine = batch_to_affine(dbl_points + add_points, q)
         dbl_affine = affine[: len(dbl_points)]
         add_affine = affine[len(dbl_points):]
@@ -268,22 +255,20 @@ class PairingPrecomp:
         """``f_{p, P}(phi(Q))`` from the cached schedule (pre final exp)."""
         if self._trivial or q_point.is_infinity():
             return (1, 0)
-        backend = active_backend()
-        fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-        lift = backend.lift
-        q = lift(self.params.q)
-        phi_x = lift(-q_point.x) % q
-        neg_phi_y = lift(-q_point.y) % q
+        mul, square = fq2_mul, fq2_square
+        q = self.params.q
+        phi_x = -q_point.x % q
+        neg_phi_y = -q_point.y % q
         f: _RawFq2 = (1, 0)
         for dbl_coeffs, add_coeffs in self.steps:
-            f = fq2_square(f, q)
+            f = square(f, q)
             if dbl_coeffs is not None:
                 slope, offset = dbl_coeffs
-                f = fq2_mul(f, ((slope * phi_x + offset) % q, neg_phi_y), q)
+                f = mul(f, ((slope * phi_x + offset) % q, neg_phi_y), q)
             if add_coeffs is not None:
                 slope, offset = add_coeffs
-                f = fq2_mul(f, ((slope * phi_x + offset) % q, neg_phi_y), q)
-        return (backend.unlift(f[0]), backend.unlift(f[1]))
+                f = mul(f, ((slope * phi_x + offset) % q, neg_phi_y), q)
+        return f
 
     def pair_with(self, q_point: Point) -> Fq2:
         """The full pairing ``e(P, Q)`` via the cached schedule."""
@@ -297,16 +282,11 @@ class PairingPrecomp:
 
 def final_exponentiation(value: _RawFq2, params: PairingParams) -> _RawFq2:
     """Raise to ``(q^2 - 1)/p = (q - 1) * h`` using Frobenius = conjugation."""
-    backend = active_backend()
-    lift = backend.lift
-    q = lift(params.q)
-    a, b = lift(value[0]) % q, lift(value[1]) % q
+    q = params.q
+    a, b = value[0] % q, value[1] % q
     conjugate: _RawFq2 = (a, (-b) % q)
-    powered_q_minus_1 = backend.fq2_mul(
-        conjugate, backend.fq2_inverse((a, b), q), q
-    )
-    raw = backend.fq2_pow(powered_q_minus_1, params.h, q)
-    return (backend.unlift(raw[0]), backend.unlift(raw[1]))
+    powered_q_minus_1 = fq2_mul(conjugate, fq2_inverse((a, b), q), q)
+    return fq2_pow(powered_q_minus_1, params.h, q)
 
 
 def tate_pairing(p_point: Point, q_point: Point, params: PairingParams) -> Fq2:

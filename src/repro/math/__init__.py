@@ -2,7 +2,6 @@
 
 Modules:
 
-* :mod:`repro.math.backend` -- the pluggable field-arithmetic backend seam.
 * :mod:`repro.math.modular` -- modular inverse, square roots, CRT.
 * :mod:`repro.math.primes` -- Miller-Rabin primality and prime generation.
 * :mod:`repro.math.fields` -- the fields ``F_q`` and ``F_{q^2}``.
@@ -10,17 +9,6 @@ Modules:
 * :mod:`repro.math.entropy` -- min-entropy, statistical distance, LHL.
 """
 
-from repro.math.backend import (
-    FieldBackend,
-    active_backend,
-    available_backends,
-    backend_available,
-    get_backend,
-    register_backend,
-    select_backend,
-    set_backend,
-    use_backend,
-)
 from repro.math.modular import (
     crt_pair,
     inv_mod,
@@ -32,12 +20,7 @@ from repro.math.modular import (
 from repro.math.primes import is_prime, next_prime, random_prime
 
 __all__ = [
-    "FieldBackend",
-    "active_backend",
-    "available_backends",
-    "backend_available",
     "crt_pair",
-    "get_backend",
     "inv_mod",
     "is_prime",
     "is_quadratic_residue",
@@ -45,9 +28,5 @@ __all__ = [
     "next_prime",
     "pow_mod",
     "random_prime",
-    "register_backend",
-    "select_backend",
-    "set_backend",
     "sqrt_mod",
-    "use_backend",
 ]

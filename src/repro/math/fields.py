@@ -7,12 +7,14 @@ is the home of the target group ``GT`` of the modified Tate pairing
 distortion map.
 
 Elements are small immutable value objects; arithmetic returns new
-elements.  For hot loops the elliptic-curve code works on raw integer
-pairs instead, but every public API trades in these classes.
+elements.  For hot loops the pairing and multiexp kernels work on raw
+``(a, b)`` integer pairs instead, through the module-level functions
+:func:`fq2_mul`, :func:`fq2_square`, :func:`fq2_pow` and
+:func:`fq2_inverse`; the element classes compute with the same functions,
+so both faces share one arithmetic.  Every public API trades in the
+classes.
 
-All arithmetic routes through the active field backend
-(:mod:`repro.math.backend`); stored coordinates are always canonical
-:class:`int` in ``[0, q)``, whatever type the backend computes with.
+Stored coordinates are always canonical :class:`int` in ``[0, q)``.
 Internally the arithmetic uses the **trusted constructors**
 :meth:`Fq._from_reduced` / :meth:`Fq2._from_reduced`, which skip the
 ``__post_init__`` re-reduction (and, for ``Fq2``, the ``q % 4``
@@ -27,8 +29,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import GroupError, ParameterError
-from repro.math.backend import active_backend
-from repro.math.modular import sqrt_mod
+from repro.math.modular import inv_mod, sqrt_mod
+
+_RawFq2 = tuple  # (a, b) representing a + b*i, i^2 = -1
+
+
+def fq2_mul(u: _RawFq2, v: _RawFq2, q: int) -> _RawFq2:
+    """Karatsuba product with **lazy reduction**: the three cross
+    products stay unreduced and each output coordinate is reduced
+    exactly once."""
+    a, b = u
+    c, d = v
+    ac = a * c
+    bd = b * d
+    cross = (a + b) * (c + d) - ac - bd
+    return ((ac - bd) % q, cross % q)
+
+
+def fq2_square(u: _RawFq2, q: int) -> _RawFq2:
+    """``(a + bi)^2 = (a - b)(a + b) + 2ab i``: two products, not three."""
+    a, b = u
+    return ((a - b) * (a + b) % q, 2 * a * b % q)
+
+
+def fq2_inverse(u: _RawFq2, q: int) -> _RawFq2:
+    """Inverse in ``F_{q^2}``; :class:`~repro.errors.ParameterError` on 0.
+
+    Unitary (norm-1) elements -- all of the order-``p`` pairing subgroup
+    -- invert by conjugation with no modular inversion; anything else
+    costs one :func:`~repro.math.modular.inv_mod` of the norm.
+    """
+    a, b = u
+    norm = a * a + b * b
+    if norm % q == 0:
+        raise ParameterError("0 is not invertible in F_{q^2}")
+    if norm % q == 1:
+        return (a % q, (-b) % q)
+    norm_inv = inv_mod(norm, q)
+    return (a * norm_inv % q, (-b) * norm_inv % q)
+
+
+def fq2_pow(u: _RawFq2, exponent: int, q: int) -> _RawFq2:
+    """Square-and-multiply power; a negative exponent inverts first."""
+    if exponent < 0:
+        return fq2_pow(fq2_inverse(u, q), -exponent, q)
+    result: _RawFq2 = (1, 0)
+    base = u
+    while exponent:
+        if exponent & 1:
+            result = fq2_mul(result, base, q)
+        base = fq2_square(base, q)
+        exponent >>= 1
+    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +97,8 @@ class Fq:
     def _from_reduced(cls, value: int, q: int) -> "Fq":
         """Trusted constructor: ``value`` must already lie in ``[0, q)``.
 
-        Skips ``__post_init__``'s re-reduction; the backend seam uses it
-        for every arithmetic result (already reduced by construction).
+        Skips ``__post_init__``'s re-reduction; the arithmetic uses it
+        for every result (already reduced by construction).
         """
         element = object.__new__(cls)
         object.__setattr__(element, "value", value)
@@ -67,10 +119,7 @@ class Fq:
 
     def __mul__(self, other: "Fq") -> "Fq":
         self._check(other)
-        backend = active_backend()
-        return Fq._from_reduced(
-            backend.unlift(backend.mul_mod(self.value, other.value, self.q)), self.q
-        )
+        return Fq._from_reduced(self.value * other.value % self.q, self.q)
 
     def __neg__(self) -> "Fq":
         return Fq._from_reduced((-self.value) % self.q, self.q)
@@ -78,16 +127,10 @@ class Fq:
     def __pow__(self, exponent: int) -> "Fq":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        backend = active_backend()
-        return Fq._from_reduced(
-            backend.unlift(backend.pow_mod(self.value, exponent, self.q)), self.q
-        )
+        return Fq._from_reduced(pow(self.value, exponent, self.q), self.q)
 
     def inverse(self) -> "Fq":
-        backend = active_backend()
-        return Fq._from_reduced(
-            backend.unlift(backend.inv_mod(self.value, self.q)), self.q
-        )
+        return Fq._from_reduced(inv_mod(self.value, self.q), self.q)
 
     def __truediv__(self, other: "Fq") -> "Fq":
         self._check(other)
@@ -166,15 +209,13 @@ class Fq2:
     def __mul__(self, other: "Fq2") -> "Fq2":
         self._check(other)
         q = self.q
-        backend = active_backend()
-        a, b = backend.fq2_mul((self.a, self.b), (other.a, other.b), q)
-        return Fq2._from_reduced(backend.unlift(a), backend.unlift(b), q)
+        a, b = fq2_mul((self.a, self.b), (other.a, other.b), q)
+        return Fq2._from_reduced(a, b, q)
 
     def square(self) -> "Fq2":
         q = self.q
-        backend = active_backend()
-        a, b = backend.fq2_square((self.a, self.b), q)
-        return Fq2._from_reduced(backend.unlift(a), backend.unlift(b), q)
+        a, b = fq2_square((self.a, self.b), q)
+        return Fq2._from_reduced(a, b, q)
 
     def conjugate(self) -> "Fq2":
         q = self.q
@@ -188,12 +229,8 @@ class Fq2:
         if self.a == 0 and self.b == 0:
             raise GroupError("0 is not invertible in F_{q^2}")
         q = self.q
-        backend = active_backend()
-        # The backend applies the unitary (norm-1) conjugation shortcut
-        # -- every member of the order-p pairing subgroup inverts for
-        # free -- and falls back to one modular inversion otherwise.
-        a, b = backend.fq2_inverse((self.a, self.b), q)
-        return Fq2._from_reduced(backend.unlift(a), backend.unlift(b), q)
+        a, b = fq2_inverse((self.a, self.b), q)
+        return Fq2._from_reduced(a, b, q)
 
     def __truediv__(self, other: "Fq2") -> "Fq2":
         self._check(other)
@@ -203,9 +240,8 @@ class Fq2:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         q = self.q
-        backend = active_backend()
-        a, b = backend.fq2_pow((self.a, self.b), exponent, q)
-        return Fq2._from_reduced(backend.unlift(a), backend.unlift(b), q)
+        a, b = fq2_pow((self.a, self.b), exponent, q)
+        return Fq2._from_reduced(a, b, q)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

@@ -4,20 +4,13 @@ These are the low-level building blocks for the finite fields in
 :mod:`repro.math.fields` and the elliptic-curve arithmetic in
 :mod:`repro.groups.curve`.  All functions operate on plain Python
 integers and assume (without re-checking) that the modulus is an odd
-prime unless stated otherwise.
-
-Every modular power and inverse routes through the active
-:mod:`field-arithmetic backend <repro.math.backend>` -- this module is
-the *functional* face of that seam (the raw-representation face used by
-the group kernels is :meth:`~repro.math.backend.FieldBackend.lift`).
-Results are always canonical :class:`int`, whatever type the backend
-computes with.
+prime unless stated otherwise.  Results are always canonical :class:`int`
+in ``[0, p)``.
 """
 
 from __future__ import annotations
 
 from repro.errors import ParameterError
-from repro.math.backend import active_backend
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -25,8 +18,10 @@ def inv_mod(a: int, p: int) -> int:
 
     Raises :class:`~repro.errors.ParameterError` if ``a`` is not invertible.
     """
-    backend = active_backend()
-    return backend.unlift(backend.inv_mod(a, p))
+    a %= p
+    if a == 0:
+        raise ParameterError(f"0 is not invertible modulo {p}")
+    return pow(a, -1, p)
 
 
 def batch_inv(
@@ -47,23 +42,38 @@ def batch_inv(
     :func:`~repro.groups.curve.batch_to_affine` need when identity
     elements ride along with finite ones.
     """
-    backend = active_backend()
-    inverses = backend.batch_inv(values, p, skip_zero=skip_zero)
-    if backend.native_ints:
-        return inverses
-    unlift = backend.unlift
-    return [unlift(inverse) for inverse in inverses]
+    n = len(values)
+    if n == 0:
+        return []
+    prefix = [0] * n
+    reduced_values = [0] * n
+    acc = 1
+    for i, value in enumerate(values):
+        reduced = value % p
+        if reduced == 0:
+            if not skip_zero:
+                raise ParameterError(f"0 is not invertible modulo {p} (index {i})")
+        else:
+            acc = acc * reduced % p
+            reduced_values[i] = reduced
+        # Zero entries keep the running product unchanged, so their
+        # prefix slot simply repeats the previous accumulator.
+        prefix[i] = acc
+    inverses = [0] * n
+    acc = inv_mod(acc, p)
+    for i in range(n - 1, 0, -1):
+        if reduced_values[i] == 0:
+            continue
+        inverses[i] = acc * prefix[i - 1] % p
+        acc = acc * reduced_values[i] % p
+    if reduced_values[0] != 0:
+        inverses[0] = acc
+    return inverses
 
 
 def pow_mod(base: int, exponent: int, p: int) -> int:
-    """``base ** exponent mod p`` on the active backend.
-
-    The sanctioned spelling of ``pow(base, exponent, p)`` for every
-    layer above :mod:`repro.math` (the backend may route it to, e.g.,
-    ``gmpy2.powmod``).
-    """
-    backend = active_backend()
-    return backend.unlift(backend.pow_mod(base, exponent, p))
+    """``base ** exponent mod p`` as a canonical :class:`int`."""
+    return pow(base, exponent, p)
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.core.keys import PublicKey, Share1, Share2
 from repro.core.params import DLRParams
-from repro.errors import CheckpointError, ParameterError
+from repro.errors import CheckpointError, GroupError, ParameterError
 from repro.utils import persist
 
 CHECKPOINT_VERSION = 1
@@ -114,10 +114,11 @@ def load_state(data: dict, group=None) -> SessionState:
             share1=persist.load_share1(group, data["share1"]),
             share2=persist.load_share2(data["share2"]),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        # A field is missing, the wrong shape, or un-decodable hex: the
-        # *file* is corrupt, which is a deterministic (fatal) runtime
-        # fault, never a raw KeyError crashing a rehydrating worker.
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, GroupError) as exc:
+        # A field is missing, the wrong shape, un-decodable hex or not a
+        # group element: the *file* is corrupt, which is a deterministic
+        # (fatal) runtime fault, never a raw KeyError crashing a
+        # rehydrating worker.
         raise CheckpointError(
             f"checkpoint is structurally invalid ({type(exc).__name__}: {exc})"
         ) from exc
@@ -142,7 +143,7 @@ def load_checkpoint(path: str | pathlib.Path, group=None) -> SessionState:
         text = path.read_text()
     except FileNotFoundError:
         raise
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(
             f"checkpoint {path} is unreadable ({exc})", path=path
         ) from exc
@@ -154,6 +155,10 @@ def load_checkpoint(path: str | pathlib.Path, group=None) -> SessionState:
             f"line {exc.lineno} column {exc.colno} (truncated write or "
             "damaged file)",
             path=path,
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path} is corrupt ({type(exc).__name__}: {exc})", path=path
         ) from exc
     try:
         return load_state(data, group=group)

@@ -303,6 +303,9 @@ class SessionSupervisor:
         self.public_params = public_params
         self.identity = identity
         self.frozen = False
+        #: Attempts logged since the last commit: all of them belong to
+        #: the uncommitted period ``state.next_period``.
+        self._pending_attempts = 0
         self._sleep = sleep
         self._clock = clock
         self._on_period_commit = on_period_commit
@@ -367,15 +370,27 @@ class SessionSupervisor:
 
     def run(self) -> SessionResult:
         """Drive all remaining periods to completion (or raise)."""
+        self._raise_if_frozen()
+        self._setup()
+        while not self.state.complete:
+            self._run_one_period()
+        return SessionResult(self.state, self.log)
+
+    def _raise_if_frozen(self) -> None:
         if self.frozen:
             raise ProtocolError(
                 "session is frozen: a retry would have exceeded the leakage "
                 "budget; start a new period budget before resuming"
             )
-        self._setup()
-        while not self.state.complete:
-            self._run_one_period()
-        return SessionResult(self.state, self.log)
+
+    def _prepare_request(self) -> None:
+        """The request entry points' preamble: refuse a frozen session,
+        create the devices on first use, and open one more period."""
+        self._raise_if_frozen()
+        if self.device1 is None:
+            self._setup()
+        if self.state.complete:
+            self.state.periods_total = self.state.next_period + 1
 
     def _setup(self) -> None:
         """(Re)create the devices from committed state, deterministically
@@ -411,15 +426,7 @@ class SessionSupervisor:
         stayed resident (same ``(seed, next_period)`` derivation as
         :meth:`run`).
         """
-        if self.frozen:
-            raise ProtocolError(
-                "session is frozen: a retry would have exceeded the leakage "
-                "budget; start a new period budget before resuming"
-            )
-        if self.device1 is None:
-            self._setup()
-        if self.state.complete:
-            self.state.periods_total = self.state.next_period + 1
+        self._prepare_request()
         record = self._run_one_period(ciphertext)
         assert isinstance(record, PeriodRecord)
         return record
@@ -440,34 +447,30 @@ class SessionSupervisor:
             raise ParameterError(
                 "batch requests are not supported for identity lifecycles"
             )
-        if self.frozen:
-            raise ProtocolError(
-                "session is frozen: a retry would have exceeded the leakage "
-                "budget; start a new period budget before resuming"
-            )
-        if self.device1 is None:
-            self._setup()
-        if self.state.complete:
-            self.state.periods_total = self.state.next_period + 1
+        self._prepare_request()
         record = self._run_one_period(list(ciphertexts), batch=True)
         assert isinstance(record, MultiPeriodRecord)
         return record
 
     def _run_one_period(self, ciphertext=None, *, batch: bool = False) -> object:
         period = self.state.next_period
+        attempts_before = len(self.log.attempts)
         with active_tracer().span("period", period=period, scheme=self.state.scheme) as span:
-            record = run_with_retries(
-                lambda: self._attempt(period, ciphertext, batch=batch),
-                period=period,
-                policy=self.policy,
-                transport=self.transport,
-                log=self.log,
-                jitter_rng=RetryPolicy.jitter_rng(self.state.seed, period),
-                oracle=self.oracle,
-                sleep=self._sleep,
-                clock=self._clock,
-                on_freeze=self._freeze,
-            )
+            try:
+                record = run_with_retries(
+                    lambda: self._attempt(period, ciphertext, batch=batch),
+                    period=period,
+                    policy=self.policy,
+                    transport=self.transport,
+                    log=self.log,
+                    jitter_rng=RetryPolicy.jitter_rng(self.state.seed, period),
+                    oracle=self.oracle,
+                    sleep=self._sleep,
+                    clock=self._clock,
+                    on_freeze=self._freeze,
+                )
+            finally:
+                self._pending_attempts += len(self.log.attempts) - attempts_before
             self._commit_period(period)
             # Correlate the durable log with the trace that produced it:
             # a service-driven period inherits the request's trace id, so
@@ -544,12 +547,13 @@ class SessionSupervisor:
         self.log.record_period(
             PeriodSummary(
                 period=period,
-                attempts=len(self.log.attempts_for(period)),
+                attempts=self._pending_attempts,
                 bits_on_wire=len(transcript),
                 transcript_sha256=hashlib.sha256(transcript.to_bytes()).hexdigest(),
                 metrics=self._period_metrics(period),
             )
         )
+        self._pending_attempts = 0
         self.state.share1 = share1
         self.state.share2 = share2
         self.state.next_period = period + 1

@@ -85,7 +85,6 @@ from repro.errors import (
     TransportTimeout,
     WireFormatError,
 )
-from repro.math.backend import active_backend
 from repro.protocol.transport import encode_frame, recv_frame
 from repro.service.registry import SessionRegistry
 from repro.service.resilience import (
@@ -95,7 +94,7 @@ from repro.service.resilience import (
     validated_request_id,
 )
 from repro.service.session import ManagedSession, StaleSessionError
-from repro.telemetry.metrics import MetricsRegistry, mark_backend
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.telemetry.tracer import SpanContext, active_tracer
 from repro.utils import persist
@@ -204,9 +203,6 @@ class KeyService:
         if self._listener is not None or self._stop_begun:
             raise ProtocolError("service already started")
         self._listener = socket.create_server((self.host, self.port))
-        # Tag this process's metrics with the live arithmetic backend so
-        # operators can confirm what a deployment actually computes on.
-        mark_backend(self.metrics)
         # Poll the listener so stop() is honored promptly.
         self._listener.settimeout(0.2)
         self.address = self._listener.getsockname()
@@ -449,6 +445,13 @@ class KeyService:
                     self.metrics.counter("service.client_timeouts").inc()
                     break
                 except WireFormatError as exc:
+                    # Refused before _handle could parse an op or a
+                    # tenant: counted under the labels _handle gives a
+                    # request with no usable op.
+                    self.metrics.counter(
+                        "service.requests", op="invalid", outcome="error",
+                        tenant=NO_TENANT_LABEL,
+                    ).inc()
                     self._respond(
                         connection, {"ok": False, "code": "bad-request", "error": str(exc)}
                     )
@@ -673,7 +676,6 @@ class KeyService:
             "workers": self.workers,
             "busy_workers": self._busy_workers(),
             "queue_depth": self._queue_depth(),
-            "backend": active_backend().name,
             "backlog": self.backlog,
             "sessions_resident": self.registry.resident_count(),
             "requests_handled": self.requests_handled,
@@ -827,7 +829,6 @@ class KeyService:
         self.refresh_gauges()
         body = json.dumps(
             {
-                "backend": active_backend().name,
                 "health": self.health_status(),
                 "registry": self.registry.snapshot(),
                 "metrics": self.metrics.snapshot(),

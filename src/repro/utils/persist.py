@@ -198,23 +198,28 @@ def loads(text: str, group: BilinearGroup | None = None) -> Any:
 
     ``group`` is required for kinds that reference group elements without
     embedding parameters (shares, ciphertexts); public keys are
-    self-contained.
+    self-contained.  Malformed text or data raises
+    :class:`~repro.errors.ParameterError`; a well-formed encoding of a
+    non-element raises ``GroupError``.
     """
-    envelope = json.loads(text)
-    if not isinstance(envelope, dict):
-        raise ParameterError("expected a {kind, data} envelope")
-    kind = envelope.get("kind")
-    data = envelope.get("data")
-    if kind == "public_key":
-        return load_public_key(data)
-    if group is None:
-        raise ParameterError(f"deserializing {kind!r} requires the group")
-    if kind == "share1":
-        return load_share1(group, data)
-    if kind == "share2":
-        return load_share2(data)
-    if kind == "ciphertext":
-        return load_ciphertext(group, data)
-    if kind == "ciphertext_batch":
-        return load_ciphertext_batch(group, data)
+    try:
+        envelope = json.loads(text)
+        if not isinstance(envelope, dict):
+            raise ParameterError("expected a {kind, data} envelope")
+        kind = envelope.get("kind")
+        data = envelope.get("data")
+        if kind == "public_key":
+            return load_public_key(data)
+        if group is None:
+            raise ParameterError(f"deserializing {kind!r} requires the group")
+        if kind == "share1":
+            return load_share1(group, data)
+        if kind == "share2":
+            return load_share2(data)
+        if kind == "ciphertext":
+            return load_ciphertext(group, data)
+        if kind == "ciphertext_batch":
+            return load_ciphertext_batch(group, data)
+    except (KeyError, TypeError, AttributeError, ValueError, IndexError, RecursionError) as exc:
+        raise ParameterError(f"malformed serialized data: {exc!r}") from exc
     raise ParameterError(f"unknown kind {kind!r}")

@@ -259,7 +259,15 @@ class WireCodec:
     # -- decoding -----------------------------------------------------------
 
     def decode(self, data: bytes) -> object:
-        value, offset = self._decode_from(data, 0)
+        """Parse one payload; any malformed input raises
+        :class:`~repro.errors.WireFormatError` (or ``GroupError`` for a
+        well-formed encoding of a non-element)."""
+        try:
+            value, offset = self._decode_from(data, 0)
+        except RecursionError as exc:
+            raise WireFormatError("payload nests too deeply") from exc
+        except UnicodeDecodeError as exc:
+            raise WireFormatError(f"string is not valid UTF-8: {exc}") from exc
         if offset != len(data):
             raise WireFormatError(
                 f"{len(data) - offset} trailing bytes after payload"

@@ -4,8 +4,8 @@
 inversion across a vector of multiexp instances; ``pair_with_many`` /
 ``pair_many`` serve a vector of right points from one cached Miller
 schedule.  All of them are *pure reorganizations*: every output must be
-bit-identical to the sequential loop they replace, on every available
-field backend and at sizes straddling the Pippenger threshold.
+bit-identical to the sequential loop they replace, at sizes straddling
+the Pippenger threshold.
 """
 
 import random
@@ -16,9 +16,6 @@ from repro.groups import fastops, preset_group
 from repro.groups.bilinear import G1Element, GTElement
 from repro.groups.fastops import PIPPENGER_THRESHOLD
 from repro.groups.pairing import PairingPrecomp, tate_pairing
-from repro.math.backend import available_backends, use_backend
-
-BACKENDS = available_backends()
 
 #: Instance sizes the shared-window batch must triage correctly:
 #: single-term, small Straus, straddling the Pippenger threshold.
@@ -51,24 +48,20 @@ def _gt_instances(group, rng, sizes):
 
 
 class TestMultiexpBatchEquivalence:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_g1_matches_sequential(self, small_group, rng, backend_name):
-        with use_backend(backend_name):
-            instances = _g1_instances(small_group, rng, SIZES)
-            batched = G1Element.multiexp_batch(instances)
-            sequential = [
-                G1Element.multiexp(bases, exponents) for bases, exponents in instances
-            ]
+    def test_g1_matches_sequential(self, small_group, rng):
+        instances = _g1_instances(small_group, rng, SIZES)
+        batched = G1Element.multiexp_batch(instances)
+        sequential = [
+            G1Element.multiexp(bases, exponents) for bases, exponents in instances
+        ]
         assert batched == sequential
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_gt_matches_sequential(self, small_group, rng, backend_name):
-        with use_backend(backend_name):
-            instances = _gt_instances(small_group, rng, SIZES)
-            batched = GTElement.multiexp_batch(instances)
-            sequential = [
-                GTElement.multiexp(bases, exponents) for bases, exponents in instances
-            ]
+    def test_gt_matches_sequential(self, small_group, rng):
+        instances = _gt_instances(small_group, rng, SIZES)
+        batched = GTElement.multiexp_batch(instances)
+        sequential = [
+            GTElement.multiexp(bases, exponents) for bases, exponents in instances
+        ]
         assert batched == sequential
 
     def test_empty_batch(self):
@@ -114,16 +107,14 @@ class TestEvaluateManyEquivalence:
         left = group.random_g(rng).point
         return PairingPrecomp(left, group.params)
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_matches_pair_with_loop(self, small_group, rng, backend_name):
+    def test_matches_pair_with_loop(self, small_group, rng):
         """The cached schedule must reproduce the full Miller loop."""
         params = small_group.params
-        with use_backend(backend_name):
-            left = small_group.random_g(rng).point
-            precomp = PairingPrecomp(left, params)
-            rights = [small_group.random_g(rng).point for _ in range(9)]
-            many = precomp.pair_with_many(rights)
-            loop = [tate_pairing(left, right, params) for right in rights]
+        left = small_group.random_g(rng).point
+        precomp = PairingPrecomp(left, params)
+        rights = [small_group.random_g(rng).point for _ in range(9)]
+        many = precomp.pair_with_many(rights)
+        loop = [tate_pairing(left, right, params) for right in rights]
         assert many == loop
 
     def test_empty_and_single(self, small_group, rng):

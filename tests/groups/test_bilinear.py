@@ -112,6 +112,36 @@ class TestCounters:
         delta = small_group.counter.diff(before)
         assert delta.exponentiations == 2
 
+    def test_snapshot_and_diff_shapes(self):
+        from repro.groups.bilinear import OperationCounter
+
+        counter = OperationCounter()
+        counter.pairings += 2
+        snapshot = counter.snapshot()
+        assert snapshot.as_dict() == counter.as_dict()
+        assert list(counter.as_dict()) == [
+            "g_mul", "g_exp", "g_multiexp", "gt_mul", "gt_exp", "gt_multiexp",
+            "pairings", "pairings_precomp", "g_samples", "gt_samples",
+        ]
+        counter.pairings += 1
+        assert counter.diff(snapshot).nonzero() == {"pairings": 1}
+        counter.reset()
+        assert not counter.nonzero()
+
+    def test_total_cost_default_weights_and_overrides(self):
+        from repro.groups.bilinear import DEFAULT_COST_WEIGHTS, OperationCounter
+
+        counter = OperationCounter()
+        counter.pairings += 10
+        counter.g_exp += 10
+        assert counter.total_cost() == (
+            10 * DEFAULT_COST_WEIGHTS["pairings"] + 10 * DEFAULT_COST_WEIGHTS["g_exp"]
+        )
+        # A partial override replaces only the weights it names.
+        assert counter.total_cost(weights={"pairings": 100}) == (
+            1000 + 10 * DEFAULT_COST_WEIGHTS["g_exp"]
+        )
+
 
 class TestDeterminism:
     def test_preset_group_generator_stable(self):

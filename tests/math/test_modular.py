@@ -226,3 +226,25 @@ class TestBatchInvSkipZero:
             batch_inv([0, 3], self.p)
         with pytest.raises(ParameterError, match="index 1"):
             batch_inv([3, 0], self.p)
+
+
+class TestBatchToAffine:
+    """:func:`~repro.groups.curve.batch_to_affine`, the batched-inversion
+    consumer behind the Straus tables and the pairing schedule."""
+
+    def test_matches_points_and_passes_infinity(self, small_group):
+        from repro.groups.curve import INFINITY, batch_to_affine
+
+        rng = random.Random(0xBACC)
+        q = small_group.q
+        points, jacobians = [], []
+        for _ in range(6):
+            point = small_group.random_g(rng).point
+            z = rng.randrange(2, q)
+            points.append(point)
+            jacobians.append((point.x * z * z % q, point.y * z * z * z % q, z))
+        # An infinity entry (Z = 0) rides along in the same batch.
+        affine = batch_to_affine(jacobians[:3] + [(1, 1, 0)] + jacobians[3:], q)
+        assert affine == points[:3] + [INFINITY] + points[3:]
+        for point in affine:
+            assert type(point.x) is int and type(point.y) is int

@@ -80,6 +80,8 @@ class TestDecryptBatchOp:
             ("decrypt_batch", "int_list"),
             ("decrypt", "corrupt_point"),
             ("decrypt_batch", "oversized"),
+            ("decrypt", "empty_public_key"),
+            ("decrypt", "share1_int"),
         ],
     )
     def test_wrong_kind_payload_is_bad_request_and_spends_nothing(
@@ -98,6 +100,10 @@ class TestDecryptBatchOp:
             text = persist.dumps("public_key", public_key)
         elif kind == "int_list":
             text = json.dumps({"kind": "ciphertext_batch", "data": [1, 2]})
+        elif kind == "empty_public_key":
+            text = json.dumps({"kind": "public_key", "data": {}})
+        elif kind == "share1_int":
+            text = json.dumps({"kind": "share1", "data": {"a": 5}})
         elif kind == "oversized":
             _, (ciphertext,) = _encrypt_many(client, "acme", "k", 1)
             text = persist.dumps("ciphertext_batch", [ciphertext] * 129)

@@ -132,6 +132,25 @@ class TestOversizedFrame:
         assert response["code"] == "bad-request"
         assert client.ping()
 
+    def test_refused_frame_is_counted(self, service):
+        """A frame refused by ``recv_frame`` never reaches ``_handle`` but
+        still moves the request counter, exactly once."""
+        header = b'{"op": "ping"}'
+        with socket.create_connection(service.address, timeout=5.0) as raw:
+            raw.sendall(
+                len(header).to_bytes(4, "big")
+                + header
+                + (MAX_PAYLOAD_BYTES + 1).to_bytes(8, "big")
+            )
+            response, _ = recv_frame(raw, "test", timeout=5.0)
+        assert response["code"] == "bad-request"
+        assert (
+            service.metrics.counter_value(
+                "service.requests", op="invalid", outcome="error", tenant="-"
+            )
+            == 1
+        )
+
 
 class TestWorkerCrash:
     def test_escaped_exception_is_counted_and_logged(
@@ -179,15 +198,6 @@ class TestStats:
         # The stats request itself is only counted after its response
         # ships, so it sees every *prior* request (here: the open).
         assert stats["requests_handled"] == 1
-
-    def test_stats_report_active_backend(self, client):
-        from repro.math.backend import active_backend
-
-        stats = client.stats()
-        assert stats["backend"] == active_backend().name
-        # The info-metric spelling is in the shared registry too.
-        gauge = f"backend.active{{backend={active_backend().name}}}"
-        assert stats["metrics"]["gauges"][gauge] == 1
 
 
 class TestProcessFootprint:

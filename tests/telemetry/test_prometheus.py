@@ -143,9 +143,8 @@ class TestRenderer:
 
 class TestBackendInfoMetric:
     def test_backend_active_gauge_survives_rendering(self):
-        from repro.telemetry import mark_backend
-
+        # An info metric: the label carries the value, the gauge reads 1.
         registry = MetricsRegistry()
-        name = mark_backend(registry)
+        registry.gauge("backend.active", backend="python").set(1)
         parsed = parse_exposition(render_prometheus(registry))
-        assert parsed["series"][("backend_active", (("backend", name),))] == 1
+        assert parsed["series"][("backend_active", (("backend", "python"),))] == 1
